@@ -5,7 +5,7 @@
 // Before the microbenches run, main() executes the scan-engine comparison:
 // the Table-1 workload (100 BP query vs a planted-homolog database)
 // scanned sequentially through the accelerator model and through
-// scan_database_cpu at every SIMD policy and several thread counts. The
+// scan_database_cpu at every SIMD tier and several thread counts. The
 // GCUPS table is printed and dumped machine-readably to BENCH_scan.json.
 #include <benchmark/benchmark.h>
 
@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -246,22 +247,11 @@ ScanWorkload make_scan_workload() {
 struct ScanRow {
   std::string name;
   std::string engine;  // "accel_model" | "cpu"
-  std::size_t threads;
+  std::size_t threads = 0;
   std::string simd;
-  double seconds;
-  double gcups;
+  double seconds = 0.0;
+  double gcups = 0.0;
 };
-
-const char* simd_name(host::SimdPolicy p) {
-  switch (p) {
-    case host::SimdPolicy::Scalar: return "scalar";
-    case host::SimdPolicy::Swar16: return "swar16";
-    case host::SimdPolicy::Swar8: return "swar8";
-    case host::SimdPolicy::Sse41: return "sse41";
-    case host::SimdPolicy::Avx2: return "avx2";
-    default: return "auto";
-  }
-}
 
 void write_scan_json(const ScanWorkload& w, const std::vector<ScanRow>& rows,
                      double speedup_vs_seq_baseline, double speedup_vs_cpu_scalar) {
@@ -310,29 +300,27 @@ void run_scan_comparison() {
                     static_cast<double>(w.cells) / full_s / 1e9});
   }
 
-  const auto cpu_row = [&](const std::string& name, std::size_t threads, host::SimdPolicy p) {
+  const auto cpu_row = [&](const std::string& name, std::size_t threads,
+                           std::optional<core::SimdIsa> simd) {
     host::ScanOptions o = opt;
     o.threads = threads;
-    o.simd_policy = p;
+    o.simd = simd;
     const bench::Timer t;
     const host::ScanResult r = host::scan_database_cpu(w.query, w.records, kSc, o);
     const double s = t.seconds();
     benchmark::DoNotOptimize(&r);
-    rows.push_back(
-        {name, "cpu", threads, simd_name(p), s, static_cast<double>(w.cells) / s / 1e9});
+    rows.push_back({name, "cpu", threads, simd ? core::simd_isa_name(*simd) : "auto", s,
+                    static_cast<double>(w.cells) / s / 1e9});
   };
-  cpu_row("cpu scalar, 1 thread", 1, host::SimdPolicy::Scalar);
-  cpu_row("cpu swar16, 1 thread", 1, host::SimdPolicy::Swar16);
-  cpu_row("cpu swar8, 1 thread", 1, host::SimdPolicy::Swar8);
+  cpu_row("cpu scalar, 1 thread", 1, core::SimdIsa::Scalar);
   if (core::cpu_supports(core::SimdIsa::Sse41)) {
-    cpu_row("cpu sse41(16-lane), 1 thread", 1, host::SimdPolicy::Sse41);
+    cpu_row("cpu sse41(16-lane), 1 thread", 1, core::SimdIsa::Sse41);
   }
   if (core::cpu_supports(core::SimdIsa::Avx2)) {
-    cpu_row("cpu avx2(32-lane), 1 thread", 1, host::SimdPolicy::Avx2);
+    cpu_row("cpu avx2(32-lane), 1 thread", 1, core::SimdIsa::Avx2);
   }
   for (const std::size_t threads : {2u, 4u, 8u}) {
-    cpu_row("cpu auto(widest), " + std::to_string(threads) + " threads", threads,
-            host::SimdPolicy::Auto);
+    cpu_row("cpu auto(widest), " + std::to_string(threads) + " threads", threads, std::nullopt);
   }
 
   std::printf("%-34s %8s %7s %10s %10s\n", "engine", "threads", "simd", "seconds", "GCUPS");
@@ -352,15 +340,15 @@ void run_scan_comparison() {
   std::printf("machine-readable dump: BENCH_scan.json\n");
 }
 
-// ---- striped-vs-SWAR kernel comparison (BENCH_simd.json) ------------------
+// ---- striped-vs-scalar kernel comparison (BENCH_simd.json) ----------------
 
-// Single-thread GCUPS of every SIMD policy on the standard DNA scan
+// Single-thread GCUPS of every SIMD tier on the standard DNA scan
 // workload — thread scaling is deliberately excluded so this isolates the
 // lane-count lever (the paper's "cells per clock"). The headline number is
-// the widest striped kernel against the 8-lane SWAR anti-diagonal kernel,
-// the previous hot path.
+// the widest striped kernel against the scalar query-profile kernel, the
+// portable fallback every machine runs.
 void run_simd_comparison() {
-  bench::header("SIMD kernel ladder: striped SSE4.1/AVX2 vs SWAR (1 thread, GCUPS)");
+  bench::header("SIMD kernel ladder: striped SSE4.1/AVX2 vs scalar (1 thread, GCUPS)");
   const ScanWorkload w = make_scan_workload();
   std::printf("detected ISA: %s  (SWR_SIMD/--simd override; striped compiled: %s)\n",
               core::simd_isa_name(core::detected_simd_isa()),
@@ -373,14 +361,14 @@ void run_simd_comparison() {
 
   struct SimdRow {
     std::string simd;
-    unsigned lanes8;
-    double seconds;
-    double gcups;
+    unsigned lanes8 = 0;
+    double seconds = 0.0;
+    double gcups = 0.0;
   };
   std::vector<SimdRow> rows;
-  const auto measure = [&](host::SimdPolicy p, unsigned lanes8) {
+  const auto measure = [&](core::SimdIsa isa, unsigned lanes8) {
     host::ScanOptions o = opt;
-    o.simd_policy = p;
+    o.simd = isa;
     double best_s = 1e100;
     for (int rep = 0; rep < 3; ++rep) {  // min-of-3: the noise-free estimate
       const bench::Timer t;
@@ -388,28 +376,24 @@ void run_simd_comparison() {
       benchmark::DoNotOptimize(&r);
       best_s = std::min(best_s, t.seconds());
     }
-    rows.push_back({simd_name(p), lanes8, best_s, static_cast<double>(w.cells) / best_s / 1e9});
+    rows.push_back({core::simd_isa_name(isa), lanes8, best_s,
+                    static_cast<double>(w.cells) / best_s / 1e9});
   };
-  measure(host::SimdPolicy::Scalar, 1);
-  measure(host::SimdPolicy::Swar16, 4);
-  measure(host::SimdPolicy::Swar8, 8);
-  if (core::cpu_supports(core::SimdIsa::Sse41)) measure(host::SimdPolicy::Sse41, 16);
-  if (core::cpu_supports(core::SimdIsa::Avx2)) measure(host::SimdPolicy::Avx2, 32);
+  measure(core::SimdIsa::Scalar, 1);
+  if (core::cpu_supports(core::SimdIsa::Sse41)) measure(core::SimdIsa::Sse41, 16);
+  if (core::cpu_supports(core::SimdIsa::Avx2)) measure(core::SimdIsa::Avx2, 32);
 
-  const SimdRow* swar8 = nullptr;
-  for (const SimdRow& r : rows) {
-    if (r.simd == "swar8") swar8 = &r;
-  }
-  std::printf("%-8s %7s %10s %10s %14s\n", "simd", "lanes", "seconds", "GCUPS", "vs swar8");
+  const SimdRow& scalar = rows.front();
+  std::printf("%-8s %7s %10s %10s %14s\n", "simd", "lanes", "seconds", "GCUPS", "vs scalar");
   bench::rule(54);
   for (const SimdRow& r : rows) {
     std::printf("%-8s %7u %10.4f %10.3f %13.2fx\n", r.simd.c_str(), r.lanes8, r.seconds,
-                r.gcups, r.gcups / swar8->gcups);
+                r.gcups, r.gcups / scalar.gcups);
   }
   bench::rule(54);
   const SimdRow& widest = rows.back();
-  const double speedup = widest.gcups / swar8->gcups;
-  std::printf("widest (%s) vs swar8: %.2fx GCUPS\n", widest.simd.c_str(), speedup);
+  const double speedup = widest.gcups / scalar.gcups;
+  std::printf("widest (%s) vs scalar: %.2fx GCUPS\n", widest.simd.c_str(), speedup);
 
   std::ofstream js("BENCH_simd.json");
   js << "{\n  \"host\": " << bench::host_meta_json() << ",\n";
@@ -421,25 +405,25 @@ void run_simd_comparison() {
     const SimdRow& r = rows[k];
     js << "    {\"simd\": \"" << r.simd << "\", \"lanes8\": " << r.lanes8
        << ", \"threads\": 1, \"seconds\": " << r.seconds << ", \"gcups\": " << r.gcups
-       << ", \"speedup_vs_swar8\": " << r.gcups / swar8->gcups << "}"
+       << ", \"speedup_vs_scalar\": " << r.gcups / scalar.gcups << "}"
        << (k + 1 < rows.size() ? "," : "") << "\n";
   }
   js << "  ],\n";
   js << "  \"widest_simd\": \"" << widest.simd << "\",\n";
-  js << "  \"speedup_widest_vs_swar8\": " << speedup << "\n}\n";
+  js << "  \"speedup_widest_vs_scalar\": " << speedup << "\n}\n";
   std::printf("machine-readable dump: BENCH_simd.json\n");
 }
 
 // ---- kernel-shape comparison (BENCH_interseq.json) ------------------------
 
-// Inter-sequence vs striped vs swar8, single thread, store-backed so the
+// Inter-sequence vs striped, single thread, store-backed so the
 // interseq path feeds from the length-sorted schedule order. Two database
 // shapes: length-uniform (every record 500 BP — striped's best case, since
 // no lane padding varies) and length-skewed (50..2000 BP — where interseq's
 // lane refill has to earn its keep). The committed run must show interseq
 // at or above the striped tier on both.
 void run_interseq_comparison() {
-  bench::header("kernel shapes: interseq vs striped vs swar8 (1 thread, store-backed, GCUPS)");
+  bench::header("kernel shapes: interseq vs striped (1 thread, store-backed, GCUPS)");
   if (!core::cpu_supports(core::SimdIsa::Sse41)) {
     std::printf("no native SIMD on this host; interseq unavailable, skipping\n");
     return;
@@ -451,13 +435,13 @@ void run_interseq_comparison() {
   struct ShapeRow {
     std::string kernel;
     std::string simd;
-    double seconds;
-    double gcups;
+    double seconds = 0.0;
+    double gcups = 0.0;
   };
   struct DbCase {
     std::string shape;
-    std::size_t records;
-    std::uint64_t cells;
+    std::size_t records = 0;
+    std::uint64_t cells = 0;
     std::vector<ShapeRow> rows;
     double interseq_vs_striped = 0.0;
   };
@@ -475,13 +459,11 @@ void run_interseq_comparison() {
     db::build_store(records, path);
     const db::Store store = db::Store::open(path);
 
-    const auto measure = [&](const std::string& name, host::SimdPolicy p,
-                             host::KernelShape k) {
+    const auto measure = [&](const std::string& name, host::KernelShape k) {
       host::ScanOptions o;
       o.top_k = 10;
       o.min_score = 20;
       o.threads = 1;
-      o.simd_policy = p;
       o.kernel = k;
       double best_s = 1e100;
       for (int rep = 0; rep < 3; ++rep) {  // min-of-3: the noise-free estimate
@@ -490,13 +472,11 @@ void run_interseq_comparison() {
         benchmark::DoNotOptimize(&r);
         best_s = std::min(best_s, t.seconds());
       }
-      c.rows.push_back({name, simd_name(p), best_s,
-                        static_cast<double>(c.cells) / best_s / 1e9});
+      c.rows.push_back({name, "auto", best_s, static_cast<double>(c.cells) / best_s / 1e9});
     };
-    measure("swar8", host::SimdPolicy::Swar8, host::KernelShape::Striped);
-    measure("striped", host::SimdPolicy::Auto, host::KernelShape::Striped);
-    measure("interseq", host::SimdPolicy::Auto, host::KernelShape::InterSeq);
-    c.interseq_vs_striped = c.rows[2].gcups / c.rows[1].gcups;
+    measure("striped", host::KernelShape::Striped);
+    measure("interseq", host::KernelShape::InterSeq);
+    c.interseq_vs_striped = c.rows[1].gcups / c.rows[0].gcups;
     cases.push_back(std::move(c));
     std::remove(path.c_str());
   };
@@ -530,7 +510,7 @@ void run_interseq_comparison() {
     bench::rule(58);
     for (const ShapeRow& r : c.rows) {
       std::printf("  %-10s %7s %10.4f %10.3f %13.2fx\n", r.kernel.c_str(), r.simd.c_str(),
-                  r.seconds, r.gcups, r.gcups / c.rows[1].gcups);
+                  r.seconds, r.gcups, r.gcups / c.rows[0].gcups);
     }
     bench::rule(58);
     if (c.interseq_vs_striped < 1.0) interseq_ge_striped = false;
@@ -765,11 +745,11 @@ int run_retrieve_comparison() {
   // is not buried under scan-time noise.
   const host::RecordSource src(w.records);
   struct KRow {
-    std::size_t max_hits;
-    std::size_t aligned;
-    double retrieve_s;
-    double per_hit_us;
-    double vs_scan;  // retrieval cost as a fraction of the scan itself
+    std::size_t max_hits = 0;
+    std::size_t aligned = 0;
+    double retrieve_s = 0.0;
+    double per_hit_us = 0.0;
+    double vs_scan = 0.0;  // retrieval cost as a fraction of the scan itself
   };
   std::vector<KRow> k_rows;
   std::printf("%10s %10s %14s %12s %14s\n", "max_hits", "aligned", "retrieve_s", "us/hit",
@@ -803,13 +783,13 @@ int run_retrieve_comparison() {
   // divergence throws and fails the bench.
   bench::header("alignment retrieval: peak cells vs full-DP matrix");
   struct MemRow {
-    std::size_t window;          // planted homolog length (~rows and ~cols)
-    align::Score score;
-    std::uint64_t full_dp_cells; // (m+1)*(n+1) of the retrieved window
-    std::uint64_t banded_peak;
-    std::uint64_t hirschberg_peak;
-    double hirschberg_vs_full;   // peak / full-DP: the paper's memory win
-    bool linear_ok;
+    std::size_t window = 0;          // planted homolog length (~rows and ~cols)
+    align::Score score = 0;
+    std::uint64_t full_dp_cells = 0; // (m+1)*(n+1) of the retrieved window
+    std::uint64_t banded_peak = 0;
+    std::uint64_t hirschberg_peak = 0;
+    double hirschberg_vs_full = 0.0; // peak / full-DP: the paper's memory win
+    bool linear_ok = false;
   };
   std::vector<MemRow> mem_rows;
   bool all_linear = true;
@@ -904,11 +884,11 @@ int run_serve_comparison() {
   const db::Store store = db::Store::open(swdb_path);
 
   struct ConnRow {
-    std::size_t conns;
-    std::size_t requests;
-    std::size_t served;
-    double seconds;
-    double rps;
+    std::size_t conns = 0;
+    std::size_t requests = 0;
+    std::size_t served = 0;
+    double seconds = 0.0;
+    double rps = 0.0;
   };
   std::vector<ConnRow> conn_rows;
   std::printf("%zu records, 8 cpu workers, unique query per request\n", store.size());
@@ -1143,9 +1123,9 @@ void run_db_comparison() {
   opt.min_score = 20;
 
   struct BatchRow {
-    std::size_t inflight;
-    double seconds;
-    double qps;
+    std::size_t inflight = 0;
+    double seconds = 0.0;
+    double qps = 0.0;
   };
   std::vector<BatchRow> batch_rows;
   std::printf("%zu queries x %zu records, 8 cpu workers\n", queries.size(), store.size());
@@ -1190,31 +1170,30 @@ void run_db_comparison() {
   std::remove(swdb_path.c_str());
 }
 
-// Scan-engine microbenches: whole-database GCUPS per policy/thread count.
+// Scan-engine microbenches: whole-database GCUPS per tier/thread count
+// (tier argument -1 = auto).
 void BM_ScanCpu(benchmark::State& state) {
   static const ScanWorkload w = make_scan_workload();
   host::ScanOptions opt;
   opt.top_k = 10;
   opt.min_score = 20;
   opt.threads = static_cast<std::size_t>(state.range(0));
-  opt.simd_policy = static_cast<host::SimdPolicy>(state.range(1));
+  if (state.range(1) >= 0) opt.simd = static_cast<core::SimdIsa>(state.range(1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(host::scan_database_cpu(w.query, w.records, kSc, opt));
   }
   state.counters["GCUPS"] = benchmark::Counter(
       static_cast<double>(w.cells) * static_cast<double>(state.iterations()) / 1e9,
       benchmark::Counter::kIsRate);
-  state.SetLabel(std::string(simd_name(opt.simd_policy)) + "/" +
+  state.SetLabel(std::string(opt.simd ? core::simd_isa_name(*opt.simd) : "auto") + "/" +
                  std::to_string(opt.threads) + "t");
 }
 BENCHMARK(BM_ScanCpu)
-    ->Args({1, static_cast<int>(host::SimdPolicy::Scalar)})
-    ->Args({1, static_cast<int>(host::SimdPolicy::Swar16)})
-    ->Args({1, static_cast<int>(host::SimdPolicy::Swar8)})
-    ->Args({1, static_cast<int>(host::SimdPolicy::Sse41)})
-    ->Args({1, static_cast<int>(host::SimdPolicy::Avx2)})
-    ->Args({2, static_cast<int>(host::SimdPolicy::Auto)})
-    ->Args({8, static_cast<int>(host::SimdPolicy::Auto)})
+    ->Args({1, static_cast<int>(core::SimdIsa::Scalar)})
+    ->Args({1, static_cast<int>(core::SimdIsa::Sse41)})
+    ->Args({1, static_cast<int>(core::SimdIsa::Avx2)})
+    ->Args({2, -1})
+    ->Args({8, -1})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -1675,7 +1654,7 @@ void BM_SwAntiDiag8(benchmark::State& state) {
   align::Antidiag8Workspace ws;
   for (auto _ : state) {
     // Random DNA vs random DNA stays far below 255, so this measures the
-    // 8-lane fast path (the common case in a database scan).
+    // 8-lane fast path.
     benchmark::DoNotOptimize(align::sw_antidiag8_try(a.codes(), b.codes(), kSc, ws));
   }
   report_cups(state, a.size(), b.size());

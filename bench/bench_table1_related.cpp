@@ -10,6 +10,7 @@
 // (1/1000) version of its workload through the cycle-accurate array
 // against the software oracle.
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "align/sw_linear.hpp"
 #include "bench_util.hpp"
 #include "core/accelerator.hpp"
+#include "core/cpu_features.hpp"
 #include "host/scan_engine.hpp"
 #include "seq/mutate.hpp"
 #include "seq/random.hpp"
@@ -130,19 +132,19 @@ int main() {
     host::ScanOptions opt;
     opt.top_k = 5;
     opt.min_score = 20;
-    const auto run_one = [&](const char* label, std::size_t threads, host::SimdPolicy p) {
+    const auto run_one = [&](const char* label, std::size_t threads,
+                             std::optional<core::SimdIsa> simd) {
       host::ScanOptions o = opt;
       o.threads = threads;
-      o.simd_policy = p;
+      o.simd = simd;
       const bench::Timer t;
       const host::ScanResult r = host::scan_database_cpu(query, db, lin_sc, o);
       std::printf("  %-26s %8.3f GCUPS  (%zu hits)\n", label,
                   static_cast<double>(cells) / t.seconds() / 1e9, r.hits.size());
       return r;
     };
-    const host::ScanResult seq_r = run_one("cpu scalar, 1 thread", 1, host::SimdPolicy::Scalar);
-    const host::ScanResult par_r = run_one("cpu auto(8-lane), 8 threads", 8,
-                                           host::SimdPolicy::Auto);
+    const host::ScanResult seq_r = run_one("cpu scalar, 1 thread", 1, core::SimdIsa::Scalar);
+    const host::ScanResult par_r = run_one("cpu auto(widest), 8 threads", 8, std::nullopt);
     bool same = seq_r.hits.size() == par_r.hits.size();
     for (std::size_t k = 0; same && k < seq_r.hits.size(); ++k) {
       same = seq_r.hits[k].record == par_r.hits[k].record &&

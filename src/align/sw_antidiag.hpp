@@ -4,9 +4,12 @@
 // anti-diagonal are independent (figure 4). The same fact vectorises the
 // software kernel without intrinsics — four 16-bit lanes per uint64_t
 // update four anti-diagonal cells at once (align/swar.hpp). This is the
-// software incarnation of the hardware's parallelism, and the third tier
-// of the baseline ladder (naive rolling-row -> query profile -> SWAR
-// wavefront).
+// software incarnation of the hardware's parallelism. It is not a scan
+// tier: the array gets each neighbour's cell from its wiring, but here the
+// same operand routing costs lane shuffles that eat the lane-arithmetic
+// win, so the scalar query-profile kernel beats it (EXPERIMENTS.md §K,
+// bench_kernels BM_SwAntiDiagSwar) and the scan engine uses the Farrar
+// striped layout instead (align/sw_striped.hpp).
 //
 // Results are bit-identical to sw_linear (score + canonical cell); the
 // kernel transparently falls back to the scalar path when the achievable
@@ -24,7 +27,7 @@
 namespace swr::align {
 
 /// Scratch buffers for the 16-bit kernel, reusable across records so a
-/// database scan allocates once per worker thread, not once per record.
+/// caller comparing many records allocates once, not once per record.
 struct AntidiagWorkspace {
   std::vector<std::uint16_t> buf0, buf1, buf2;  ///< rotating anti-diagonals
   std::vector<seq::Code> rb;                    ///< reversed copy of b
@@ -39,8 +42,8 @@ LocalScoreResult sw_linear_antidiag(const seq::Sequence& a, const seq::Sequence&
 LocalScoreResult sw_linear_antidiag_codes(std::span<const seq::Code> a,
                                           std::span<const seq::Code> b, const Scoring& sc);
 
-/// Raw-span variant with caller-owned scratch (the scan engine's per-thread
-/// reuse path — identical results, no per-record allocation).
+/// Raw-span variant with caller-owned scratch (identical results, no
+/// per-record allocation).
 LocalScoreResult sw_linear_antidiag_codes(std::span<const seq::Code> a,
                                           std::span<const seq::Code> b, const Scoring& sc,
                                           AntidiagWorkspace& ws);

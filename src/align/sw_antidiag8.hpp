@@ -1,14 +1,17 @@
 // Eight-lane (8-bit) anti-diagonal SWAR Smith-Waterman.
 //
-// The scan engine's widest software kernel: eight 8-bit lanes per uint64_t
-// update eight anti-diagonal cells at once (align/swar8.hpp), double the
-// width of the 16-bit kernel (align/sw_antidiag.hpp). Database scans are
-// dominated by records whose best score is small, so most records fit the
-// 0..255 lane range; the kernel detects per-lane saturation exactly (the
-// carry-out of every add is accumulated and checked once per diagonal) and
-// reports overflow instead of a result, at which point the caller lazily
-// re-runs the record in 16-bit lanes — correctness never depends on an a
-// priori score bound.
+// Eight 8-bit lanes per uint64_t update eight anti-diagonal cells at once
+// (align/swar8.hpp), double the width of the 16-bit kernel
+// (align/sw_antidiag.hpp). Database records mostly score small, so most
+// fit the 0..255 lane range; the kernel detects per-lane saturation
+// exactly (the carry-out of every add is accumulated and checked once per
+// diagonal) and reports overflow instead of a result, at which point the
+// caller lazily re-runs the record in 16-bit lanes — correctness never
+// depends on an a priori score bound. Its overflow predicate ("some true
+// cell value > 255") is the one the striped and inter-sequence 8-bit scan
+// kernels share. Like the 16-bit kernel it is not a scan tier: operand
+// routing between lanes costs more than the wider lanes save, and the
+// scalar query-profile kernel beats it (EXPERIMENTS.md §K).
 //
 // Results are bit-identical to sw_linear (score + canonical cell) whenever
 // a result is returned. Working memory is O(|a|) (three byte-wide
@@ -26,7 +29,7 @@
 namespace swr::align {
 
 /// Scratch buffers for the 8-bit kernel, reusable across records so a
-/// database scan allocates once per worker thread, not once per record.
+/// caller comparing many records allocates once, not once per record.
 struct Antidiag8Workspace {
   std::vector<std::uint8_t> buf0, buf1, buf2;  ///< rotating anti-diagonals
   std::vector<seq::Code> rb;                   ///< reversed copy of b

@@ -24,16 +24,16 @@
 // left runs a neutral residue whose profile column is pos 0 / neg 0xFF,
 // which pins its H values to zero — score-neutral and overflow-neutral.
 //
-// Exactness contract (identical to sw_antidiag8/sw_striped):
+// Exactness contract (identical to sw_striped):
 //   * saturating add-then-subtract keeps cell values unbiased, the full
 //     0..255 range is usable, and a score of exactly 255 is exact;
 //   * overflow is detected exactly and per lane: each saturating add is
 //     xor-ed against its wrapping twin and the disagreement or-ed into a
 //     sticky per-lane byte. A lane's flag sets iff some true cell of ITS
-//     record exceeds 255 — the same predicate as the 8-bit SWAR and
-//     striped kernels — so the caller re-runs exactly those records one
-//     tier down and `swar8_fallbacks` stays bit-identical across every
-//     kernel shape and policy;
+//     record exceeds 255 — the same predicate as the 8-bit striped
+//     kernel — so the caller re-runs exactly those records one tier down
+//     and `swar8_fallbacks` stays bit-identical across every kernel shape
+//     and tier;
 //   * per-lane best tracking reproduces sw_linear's canonical
 //     (j, i)-lexicographic tie-break via the same rare-threshold-triggered
 //     scalar row rescan the striped kernels use, per lane.

@@ -418,9 +418,9 @@ std::optional<LocalScoreResult> sw_striped8_try(std::span<const seq::Code> rec,
                                                 const StripedProfile& profile,
                                                 StripedWorkspace& ws) {
 #if SWR_STRIPED_X86
-  // Mirrors sw_antidiag8_try's contract order: a scheme that cannot fit
-  // the lanes is reported as overflow (the caller's fallback accounting
-  // depends on the predicates matching); only then the trivial cases.
+  // A scheme that cannot fit the lanes is reported as overflow (the
+  // caller's fallback accounting depends on every 8-bit kernel sharing
+  // that predicate); only then the trivial cases.
   if (!profile.fits8()) return std::nullopt;
   if (rec.empty() || profile.query_len() == 0) return LocalScoreResult{};
   if (!runtime_supports(profile.lanes8())) return std::nullopt;

@@ -2,18 +2,19 @@
 // the CPU scan-kernel ladder.
 //
 // The paper's systolic array wins by updating many anti-diagonal cells per
-// clock; in software the analogue is lane count. The SWAR kernels pack 8
-// lanes into a uint64_t; real vector registers go further: 16 8-bit lanes
-// with SSE4.1 (__m128i) and 32 with AVX2 (__m256i). The anti-diagonal
-// layout does not survive the jump — per-diagonal residue gathers eat the
-// win — so these kernels use Farrar's *striped* layout instead: the query
-// is split into `lanes` equal segments of `stripes = ceil(n / lanes)`
-// positions, vector s holds query positions {s, s+stripes, s+2*stripes,
-// ...}, and one row of the DP matrix is computed per database residue with
-// the horizontal-gap dependency resolved by the classic lazy-F fixup loop
-// (at most `lanes` wraps; in practice it exits after one or two stripes).
+// clock; in software the analogue is lane count: 16 8-bit lanes with
+// SSE4.1 (__m128i) and 32 with AVX2 (__m256i). The array gets each
+// neighbour's cell from its wiring for free, but a CPU anti-diagonal
+// layout pays for the same data movement in per-diagonal residue gathers
+// and lane shuffles, which eat the win — so these kernels use Farrar's
+// *striped* layout instead: the query is split into `lanes` equal
+// segments of `stripes = ceil(n / lanes)` positions, vector s holds query
+// positions {s, s+stripes, s+2*stripes, ...}, and one row of the DP
+// matrix is computed per database residue with the horizontal-gap
+// dependency resolved by the classic lazy-F fixup loop (at most `lanes`
+// wraps; in practice it exits after one or two stripes).
 //
-// Exactness contract (identical to align/sw_antidiag8.hpp):
+// Exactness contract (shared with align/sw_interseq.hpp):
 //   * positive and negative substitution contributions are applied as a
 //     saturating add then a saturating subtract, so cell values carry no
 //     bias — the full 0..255 (0..65535) range is usable, and a score of
@@ -22,17 +23,18 @@
 //     saturating add against its wrapping twin and returns nullopt the
 //     row any lane clamps — the caller lazily re-runs the record with the
 //     16-bit striped kernel, and beyond that the scalar profile kernel.
-//     A record overflows the 8-bit kernel iff it overflows the 8-bit SWAR
-//     kernel (same predicate: some true cell value > 255, or the scheme's
-//     magnitudes do not fit a lane), so `swar8_fallbacks` accounting and
-//     cross-engine bit-identity hold unchanged;
+//     A record overflows the 8-bit kernel iff some true cell value > 255
+//     or the scheme's magnitudes do not fit a lane — the same predicate
+//     at every lane width and for the inter-sequence kernel, so the
+//     `swar8_fallbacks` re-run count and cross-engine bit-identity do not
+//     depend on which 8-bit kernel ran;
 //   * results are bit-identical to sw_linear (score + canonical cell
 //     under the (j, i)-lexicographic tie-break) whenever a value is
 //     returned. Tests enforce all of it.
 //
 // The profile (per-residue striped score rows) is built once per query
-// per lane width and reused for every record — the scan engine caches one
-// in each worker thread, next to the scalar QueryProfile.
+// per lane width and reused for every record — the scan engine builds one
+// per scan (host/profile_cache.hpp), next to the scalar QueryProfile.
 //
 // Availability: the kernels are compiled on x86 GCC/Clang only (per-
 // function target attributes, no global -mavx2 — the binary stays
@@ -82,7 +84,7 @@ class StripedProfile {
   /// Whether the scheme's per-update magnitudes fit the lane width at all
   /// (largest substitution magnitude and -gap <= 0xFF / 0xFFFF). When
   /// false the corresponding kernel is structurally unusable and returns
-  /// nullopt immediately — the same contract as sw_antidiag8_try.
+  /// nullopt immediately, reported as an overflow like a saturated row.
   [[nodiscard]] bool fits8() const noexcept { return fits8_; }
   [[nodiscard]] bool fits16() const noexcept { return fits16_; }
 
@@ -155,7 +157,7 @@ std::optional<LocalScoreResult> sw_striped16_try(std::span<const seq::Code> rec,
 /// Convenience ladder for tests and one-off callers: striped 8-bit, then
 /// striped 16-bit, then exact scalar — always the sw_linear result.
 /// `fallbacks8`, when non-null, is incremented once if the 8-bit pass
-/// saturated (the swar8_fallbacks accounting rule).
+/// saturated (the ScanResult::swar8_fallbacks accounting rule).
 /// @throws std::invalid_argument on alphabet mismatch / invalid scoring
 /// / unsupported lane count.
 LocalScoreResult sw_linear_striped(const seq::Sequence& a, const seq::Sequence& b,

@@ -192,24 +192,14 @@ int cmd_align(const std::vector<std::string>& argv, std::ostream& out) {
 // Delegates spelling to core/cpu_features so the CLI, the SWR_SIMD env
 // variable, and the error message can never drift apart. Unknown values
 // are rejected here at parse time (the env path instead warns and falls
-// back to auto — a bad ambient variable must not kill a scan).
-host::SimdPolicy simd_policy_by_name(const std::string& name) {
-  std::optional<core::SimdIsa> isa;
+// back to auto — a bad ambient variable must not kill a scan). nullopt is
+// auto.
+std::optional<core::SimdIsa> simd_isa_by_name(const std::string& name) {
   try {
-    isa = core::parse_simd_isa(name);
+    return core::parse_simd_isa(name);
   } catch (const std::invalid_argument& e) {
     throw ArgError(e.what());
   }
-  if (!isa.has_value()) return host::SimdPolicy::Auto;
-  switch (*isa) {
-    case core::SimdIsa::Scalar: return host::SimdPolicy::Scalar;
-    case core::SimdIsa::Swar16: return host::SimdPolicy::Swar16;
-    case core::SimdIsa::Swar8: return host::SimdPolicy::Swar8;
-    case core::SimdIsa::Sse41: return host::SimdPolicy::Sse41;
-    case core::SimdIsa::Avx2: return host::SimdPolicy::Avx2;
-  }
-  throw ArgError("unknown simd policy '" + name + "' (choices: " +
-                 core::simd_isa_choices() + ")");
 }
 
 // Same contract for --kernel: spelling lives in core/cpu_features, bad
@@ -489,7 +479,7 @@ int cmd_scan(const std::vector<std::string>& argv, std::ostream& out) {
   opt.top_k = static_cast<std::size_t>(args.get_int("top"));
   opt.min_score = static_cast<align::Score>(args.get_int("min-score"));
   opt.threads = static_cast<std::size_t>(args.get_int("threads"));
-  opt.simd_policy = simd_policy_by_name(args.get("simd"));
+  opt.simd = simd_isa_by_name(args.get("simd"));
   opt.kernel = kernel_shape_by_name(args.get("kernel"));
   opt.numa = numa_request_by_name(args.get("numa"));
 
@@ -516,24 +506,22 @@ int cmd_scan(const std::vector<std::string>& argv, std::ostream& out) {
   }
   if (format == "pretty" && !opt.align) throw ArgError("--format pretty needs --align");
 
-  // "auto" keeps the accelerator model for sequential runs (the paper's
-  // board) and switches to the parallel CPU engine when threads are asked
-  // for — or when the seeded filter is requested, since the accelerator
-  // model streams the whole database and has no candidate tier. Both
-  // engines report bit-identical hits; tests enforce it. Validated before
-  // any file is opened so bad options fail as usage errors.
+  // "auto" is the CPU engine: the accelerator model (accel) and the board
+  // fleet (board) are explicit choices — they simulate the paper's
+  // hardware cycle by cycle and report bit-identical hits, at a far
+  // higher cost. Validated before any file is opened so bad options fail
+  // as usage errors.
   const std::string engine_name = args.get("engine");
   if (engine_name != "auto" && engine_name != "accel" && engine_name != "cpu" &&
       engine_name != "board") {
     throw ArgError("unknown engine '" + engine_name + "' (auto|accel|cpu|board)");
   }
   const bool use_fleet = engine_name == "board";
-  if ((engine_name == "accel" || use_fleet) && seeded) {
+  const bool use_cpu = engine_name == "cpu" || engine_name == "auto";
+  if (!use_cpu && seeded) {
     throw ArgError("--filter seeded needs the CPU engine (--engine cpu or auto)");
   }
-  const bool use_cpu =
-      engine_name == "cpu" || (engine_name == "auto" && (opt.threads > 1 || seeded));
-  if (!use_cpu && !use_fleet && opt.threads > 1) {
+  if (engine_name == "accel" && opt.threads > 1) {
     throw ArgError("--engine accel is single-threaded; use --engine cpu with --threads");
   }
   if (seeded && args.has("batch") && args.get_int("boards") > 0) {
@@ -976,7 +964,7 @@ std::string usage() {
          "                       [--alphabet ...] [--engine auto|accel|cpu|board] [--threads N]\n"
          "                       [--sched auto|dense|event] [--board-device xc2vp70|...]\n"
          "                       [--boards N (with --engine board: fleet size)]\n"
-         "                       [--simd auto|scalar|swar16|swar8|sse41|avx2]\n"
+         "                       [--simd auto|scalar|sse41|avx2]\n"
          "                       [--kernel auto|striped|interseq] [--numa off|auto|fake:<spec>]\n"
          "                       [--filter exact|seeded] [--filter-threshold S]\n"
          "                       [--align [--max-hits K]] [--format text|tsv|pretty]\n"

@@ -17,8 +17,6 @@ constexpr bool kStripedCompiled = true;
 bool hardware_supports(SimdIsa isa) noexcept {
   switch (isa) {
     case SimdIsa::Scalar:
-    case SimdIsa::Swar16:
-    case SimdIsa::Swar8:
       return true;
     case SimdIsa::Sse41:
       return __builtin_cpu_supports("sse4.1") != 0;
@@ -29,9 +27,7 @@ bool hardware_supports(SimdIsa isa) noexcept {
 }
 #else
 constexpr bool kStripedCompiled = false;
-bool hardware_supports(SimdIsa isa) noexcept {
-  return isa == SimdIsa::Scalar || isa == SimdIsa::Swar16 || isa == SimdIsa::Swar8;
-}
+bool hardware_supports(SimdIsa isa) noexcept { return isa == SimdIsa::Scalar; }
 #endif
 
 // One warning per distinct degrade/bad-env situation per process: scans
@@ -45,21 +41,17 @@ std::atomic<bool> warned_bad_kernel_env{false};
 const char* simd_isa_name(SimdIsa isa) noexcept {
   switch (isa) {
     case SimdIsa::Scalar: return "scalar";
-    case SimdIsa::Swar16: return "swar16";
-    case SimdIsa::Swar8: return "swar8";
     case SimdIsa::Sse41: return "sse41";
     case SimdIsa::Avx2: return "avx2";
   }
   return "unknown";
 }
 
-const char* simd_isa_choices() noexcept { return "auto|scalar|swar16|swar8|sse41|avx2"; }
+const char* simd_isa_choices() noexcept { return "auto|scalar|sse41|avx2"; }
 
 std::optional<SimdIsa> parse_simd_isa(std::string_view name) {
   if (name.empty() || name == "auto") return std::nullopt;
   if (name == "scalar") return SimdIsa::Scalar;
-  if (name == "swar16") return SimdIsa::Swar16;
-  if (name == "swar8") return SimdIsa::Swar8;
   if (name == "sse41") return SimdIsa::Sse41;
   if (name == "avx2") return SimdIsa::Avx2;
   throw std::invalid_argument("unknown simd policy '" + std::string(name) +
@@ -79,7 +71,7 @@ SimdIsa detected_simd_isa() noexcept {
   static const SimdIsa widest = [] {
     if (cpu_supports(SimdIsa::Avx2)) return SimdIsa::Avx2;
     if (cpu_supports(SimdIsa::Sse41)) return SimdIsa::Sse41;
-    return SimdIsa::Swar8;
+    return SimdIsa::Scalar;
   }();
   return widest;
 }
@@ -121,6 +113,10 @@ SimdIsa auto_simd_isa() {
     return effective_simd_isa(*env);
   }
   return detected_simd_isa();
+}
+
+SimdIsa resolve_simd_isa(std::optional<SimdIsa> requested) {
+  return requested.has_value() ? effective_simd_isa(*requested) : auto_simd_isa();
 }
 
 const char* kernel_shape_name(KernelShape shape) noexcept {

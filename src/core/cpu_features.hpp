@@ -10,14 +10,14 @@
 //
 // Policy, in order of precedence:
 //   1. an explicit `--simd` value on the command line;
-//   2. the `SWR_SIMD` environment variable (scalar|swar16|swar8|sse41|
-//      avx2|auto) — the CI matrix pins each rung of the ladder with it;
+//   2. the `SWR_SIMD` environment variable (scalar|sse41|avx2|auto) — the
+//      CI matrix pins each rung of the ladder with it;
 //   3. auto: the widest ISA the CPU supports.
 // A request the CPU cannot honour degrades to the widest supported rung
-// below it with a one-time warning — it never crashes and never silently
-// runs an illegal-instruction path. Unknown env values warn and fall back
-// to auto; unknown CLI values are rejected with a listed-choices error at
-// parse time (cli/commands.cpp).
+// below it (scalar at worst) with a one-time warning — it never crashes
+// and never silently runs an illegal-instruction path. Unknown env values
+// warn and fall back to auto; unknown CLI values are rejected with a
+// listed-choices error at parse time (cli/commands.cpp).
 #pragma once
 
 #include <optional>
@@ -27,21 +27,19 @@
 namespace swr::core {
 
 /// SIMD instruction tiers for the CPU scan kernels, ordered narrow to
-/// wide by 8-bit lane count: 1, 4, 8, 16, 32.
+/// wide by 8-bit lane count: 1, 16, 32. The vector tiers run the 8-bit
+/// striped (or inter-sequence) kernel first and lazily re-run a record
+/// that saturates it in 16-bit striped lanes, then in the scalar kernel.
 enum class SimdIsa : unsigned {
   Scalar = 0,  ///< query-profile scalar kernel (always available)
-  Swar16 = 1,  ///< four 16-bit lanes in a uint64_t (always available)
-  Swar8 = 2,   ///< eight 8-bit lanes in a uint64_t (always available)
-  Sse41 = 3,   ///< sixteen 8-bit lanes, striped (__m128i, needs SSE4.1)
-  Avx2 = 4,    ///< thirty-two 8-bit lanes, striped (__m256i, needs AVX2)
+  Sse41 = 1,   ///< sixteen 8-bit lanes, striped (__m128i, needs SSE4.1)
+  Avx2 = 2,    ///< thirty-two 8-bit lanes, striped (__m256i, needs AVX2)
 };
 
-/// Canonical lower-case name ("scalar", "swar16", "swar8", "sse41",
-/// "avx2").
+/// Canonical lower-case name ("scalar", "sse41", "avx2").
 const char* simd_isa_name(SimdIsa isa) noexcept;
 
-/// The accepted spelling list, for error messages:
-/// "auto|scalar|swar16|swar8|sse41|avx2".
+/// The accepted spelling list, for error messages: "auto|scalar|sse41|avx2".
 const char* simd_isa_choices() noexcept;
 
 /// Parses a policy name. "auto" and the empty string yield nullopt (= let
@@ -50,9 +48,8 @@ const char* simd_isa_choices() noexcept;
 std::optional<SimdIsa> parse_simd_isa(std::string_view name);
 
 /// True when this machine can execute `isa` (CPUID, cached after the
-/// first call). Scalar/Swar16/Swar8 are always true; Sse41/Avx2 require
-/// both x86 hardware support and a compiler that could build the striped
-/// kernels.
+/// first call). Scalar is always true; Sse41/Avx2 require both x86
+/// hardware support and a compiler that could build the striped kernels.
 bool cpu_supports(SimdIsa isa) noexcept;
 
 /// Widest ISA this machine supports (one-time CPUID, cached).
@@ -79,11 +76,15 @@ std::optional<SimdIsa> simd_isa_env_override();
 /// else the detected widest ISA.
 SimdIsa auto_simd_isa();
 
+/// The tier a scan runs for a `--simd` request: auto_simd_isa() for
+/// nullopt (auto), else effective_simd_isa(*requested).
+SimdIsa resolve_simd_isa(std::optional<SimdIsa> requested);
+
 /// Scan kernel *shape* — orthogonal to the SimdIsa lane-width ladder.
 /// The striped shape splits one record's query columns across lanes; the
 /// inter-sequence shape packs a different database record into every lane
 /// (align/sw_interseq.hpp). Only the native-vector tiers (Sse41/Avx2)
-/// have both shapes; the SWAR/scalar tiers are striped-shaped only.
+/// have both shapes; the scalar tier is striped-shaped only.
 enum class KernelShape : unsigned {
   Auto,      ///< inter-sequence for store-backed scans when usable, else striped
   Striped,   ///< one record at a time, query columns across lanes

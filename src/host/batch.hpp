@@ -43,25 +43,10 @@ struct Hit {
 /// cell order — fully deterministic.
 bool hit_ranks_before(const Hit& x, const Hit& y);
 
-/// SIMD lane policy for the software (CPU) scan engine. Resolved once per
-/// scan against what the machine supports (core/cpu_features.hpp): Auto
-/// picks the widest available tier (honouring the SWR_SIMD env override),
-/// and an explicit striped request the CPU cannot execute degrades to the
-/// widest supported tier with a one-time warning. Every policy produces
-/// bit-identical hits; only throughput differs — tests enforce it.
-enum class SimdPolicy {
-  Auto,    ///< widest supported first; overflow re-runs one tier down, then scalar
-  Scalar,  ///< query-profile scalar kernel only
-  Swar16,  ///< four 16-bit lanes in a uint64_t (scalar fallback when the bound fails)
-  Swar8,   ///< eight 8-bit lanes in a uint64_t with saturation-detect + lazy 16-bit re-run
-  Sse41,   ///< sixteen 8-bit striped lanes (__m128i) + lazy 16-bit striped re-run
-  Avx2,    ///< thirty-two 8-bit striped lanes (__m256i) + lazy 16-bit striped re-run
-};
-
-/// Scan kernel shape (core/cpu_features.hpp), orthogonal to SimdPolicy:
+/// Scan kernel shape (core/cpu_features.hpp), orthogonal to the SIMD tier:
 /// striped splits one record's query across lanes; interseq scores one
 /// record per lane with length-sorted lane batching. Every shape produces
-/// bit-identical output to every policy — tests enforce it.
+/// bit-identical output to every tier — tests enforce it.
 using KernelShape = core::KernelShape;
 
 /// Candidate filtering tier for the CPU scan engine (scan --filter).
@@ -90,12 +75,17 @@ struct ScanOptions {
   /// thread counts — tests enforce it.
   std::size_t threads = 1;
 
-  /// Kernel selection for scan_database_cpu.
-  SimdPolicy simd_policy = SimdPolicy::Auto;
+  /// SIMD tier for scan_database_cpu (core/cpu_features.hpp). nullopt
+  /// (auto, the default) picks the widest tier the machine supports,
+  /// honouring the SWR_SIMD env override; an explicit tier the CPU cannot
+  /// execute degrades to the widest supported one with a one-time
+  /// warning. Every tier produces bit-identical hits; only throughput
+  /// differs — tests enforce it.
+  std::optional<core::SimdIsa> simd;
 
   /// Kernel shape for scan_database_cpu. Auto honours the SWR_KERNEL env
   /// override, then picks inter-sequence for store-backed scans whenever
-  /// the resolved policy is a native-vector tier that can run it (scheme
+  /// the resolved tier is a native-vector tier that can run it (scheme
   /// fits 8-bit lanes, alphabet fits the lookup tables), else striped. An
   /// explicit InterSeq request the machine/scheme cannot honour degrades
   /// to striped with a one-time warning.
@@ -162,19 +152,22 @@ bool dust_suppressed(const seq::Sequence& rec, const align::Cell& end, const Sca
 
 /// Outcome of a scan. The per-scan stats are surfaced here so the scan
 /// service and the benches consume them instead of recomputing:
-/// records_scanned counts every record seen (empty ones included),
-/// cell_updates the full |query| x |record| matrix work, and
-/// swar8_fallbacks how many records saturated the 8-bit lanes (SWAR or
-/// striped — the saturation predicate is identical, "some true cell
-/// value > 255", so the count does not depend on which 8-bit kernel ran)
-/// and lazily re-ran one tier down (CPU engine, Auto/Swar8/Sse41/Avx2
-/// policies only — always 0 for the accelerator model and the
-/// scalar/16-bit policies).
+/// records_scanned counts every record seen (empty ones included), and
+/// cell_updates the full |query| x |record| matrix work.
+///
+/// swar8_fallbacks counts the 8-bit overflow re-runs of the CPU engine's
+/// striped and inter-sequence tiers: records whose 8-bit pass saturated
+/// ("some true cell value > 255" — the same predicate for both shapes, so
+/// the count does not depend on which one ran) and were lazily re-scored
+/// in 16-bit striped lanes, or by the scalar kernel beyond that. It is 0
+/// for the scalar tier and the accelerator engines. The name predates the
+/// striped kernels; it stays because perfbench and the wire Done trailer
+/// use it.
 struct ScanResult {
   std::vector<Hit> hits;          ///< ranked best-first, size <= top_k
   std::size_t records_scanned = 0;
   std::uint64_t cell_updates = 0; ///< total matrix cells across records
-  std::uint64_t swar8_fallbacks = 0; ///< 8-bit -> 16-bit lazy re-runs
+  std::uint64_t swar8_fallbacks = 0; ///< 8-bit overflow re-runs
   double board_seconds = 0.0;     ///< modelled accelerator time, summed
   /// Total simulator cycles the accelerator engines measured (0 for the
   /// CPU engines) — the hook the fleet/service layers cross-validate

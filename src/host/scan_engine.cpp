@@ -14,8 +14,6 @@
 
 #include <chrono>
 
-#include "align/sw_antidiag.hpp"
-#include "align/sw_antidiag8.hpp"
 #include "align/sw_interseq.hpp"
 #include "align/sw_profile.hpp"
 #include "align/sw_striped.hpp"
@@ -30,61 +28,28 @@
 namespace swr::host {
 namespace {
 
-core::SimdIsa policy_to_isa(SimdPolicy p) {
-  switch (p) {
-    case SimdPolicy::Scalar: return core::SimdIsa::Scalar;
-    case SimdPolicy::Swar16: return core::SimdIsa::Swar16;
-    case SimdPolicy::Swar8: return core::SimdIsa::Swar8;
-    case SimdPolicy::Sse41: return core::SimdIsa::Sse41;
-    case SimdPolicy::Avx2: return core::SimdIsa::Avx2;
-    case SimdPolicy::Auto: break;
-  }
-  throw std::invalid_argument("scan_database_cpu: unknown SIMD policy");
-}
-
-SimdPolicy isa_to_policy(core::SimdIsa isa) {
+// 8-bit lane width the scan's ProfileBundle must carry for `isa`: the
+// native-vector tiers need the striped (and, where compiled, inter-seq)
+// profiles at their lane count; the scalar tier needs only the scalar
+// query profile.
+unsigned bundle_lanes(core::SimdIsa isa) {
   switch (isa) {
-    case core::SimdIsa::Scalar: return SimdPolicy::Scalar;
-    case core::SimdIsa::Swar16: return SimdPolicy::Swar16;
-    case core::SimdIsa::Swar8: return SimdPolicy::Swar8;
-    case core::SimdIsa::Sse41: return SimdPolicy::Sse41;
-    case core::SimdIsa::Avx2: return SimdPolicy::Avx2;
+    case core::SimdIsa::Avx2: return 32;
+    case core::SimdIsa::Sse41: return 16;
+    case core::SimdIsa::Scalar: break;
   }
-  throw std::invalid_argument("scan_database_cpu: unknown SIMD ISA");
+  return 0;
 }
-
-// Turns the requested policy into the one concrete kernel ladder this scan
-// will run: Auto resolves to the widest tier the machine supports (after
-// the SWR_SIMD env override), and an explicit striped request the CPU
-// cannot execute degrades with a one-time warning instead of crashing.
-// Resolved exactly once per scan — never in the record loop.
-SimdPolicy resolve_simd_policy(SimdPolicy requested) {
-  if (requested == SimdPolicy::Auto) return isa_to_policy(core::auto_simd_isa());
-  return isa_to_policy(core::effective_simd_isa(policy_to_isa(requested)));
-}
-
-// 8-bit lane count of the native-vector tier `policy` rides (meaningful
-// for Sse41/Avx2 only).
-unsigned interseq_lanes(SimdPolicy policy) { return policy == SimdPolicy::Avx2 ? 32u : 16u; }
 
 std::atomic<bool> warned_interseq_degrade{false};
-
-// 8-bit lane width the scan's ProfileBundle must carry for `policy`:
-// native-vector tiers need the striped (and, where compiled, inter-seq)
-// profiles at their lane count; scalar/SWAR tiers need only the scalar
-// query profile.
-unsigned bundle_lanes(SimdPolicy policy) {
-  return (policy == SimdPolicy::Sse41 || policy == SimdPolicy::Avx2) ? interseq_lanes(policy)
-                                                                     : 0u;
-}
 
 // One ProfileBundle per scan, shared read-only by every worker: from the
 // cache when the caller wired one (repeated queries and service chunks
 // skip the build entirely), otherwise built fresh.
 std::shared_ptr<const ProfileBundle> acquire_bundle(const seq::Sequence& query,
-                                                    const align::Scoring& sc, SimdPolicy policy,
+                                                    const align::Scoring& sc, core::SimdIsa isa,
                                                     ProfileCache* cache) {
-  const unsigned lanes = bundle_lanes(policy);
+  const unsigned lanes = bundle_lanes(isa);
   if (cache != nullptr) return cache->acquire(query, sc, lanes);
   return std::make_shared<const ProfileBundle>(query, sc, lanes);
 }
@@ -113,7 +78,7 @@ struct ShapePlan {
 // scheme fits 8-bit lanes, alphabet + neutral code fits the pshufb
 // tables); an explicit InterSeq request that cannot be honoured degrades
 // to striped with a one-time warning — never an error, mirroring the
-// SIMD-policy clamp.
+// SIMD-tier clamp.
 ShapePlan resolve_kernel_shape(KernelShape requested, const ProfileBundle& bundle,
                                bool store_backed) {
   ShapePlan plan;
@@ -141,12 +106,9 @@ struct ScanMetrics {
   obs::Counter* scans = nullptr;
   obs::Counter* records = nullptr;
   obs::Counter* cells = nullptr;
-  obs::Counter* fallbacks = nullptr;
   obs::Counter* simd_selected = nullptr;
   obs::Counter* simd_fallbacks = nullptr;
   obs::Counter* simd_rec_scalar = nullptr;
-  obs::Counter* simd_rec_swar16 = nullptr;
-  obs::Counter* simd_rec_swar8 = nullptr;
   obs::Counter* simd_rec_striped8 = nullptr;
   obs::Counter* simd_rec_striped16 = nullptr;
   obs::Counter* decode_reuse = nullptr;
@@ -173,7 +135,7 @@ struct ScanMetrics {
   obs::Counter* numa_prefault_pages = nullptr;
   obs::Gauge* numa_resident_pages = nullptr;
 
-  ScanMetrics(obs::Registry* reg, SimdPolicy resolved, KernelShape shape, bool seeded,
+  ScanMetrics(obs::Registry* reg, core::SimdIsa isa, KernelShape shape, bool seeded,
               bool numa_active) {
     if (reg == nullptr) return;
     if (numa_active) {
@@ -193,13 +155,9 @@ struct ScanMetrics {
     scans = &reg->counter("scan.scans");
     records = &reg->counter("scan.records");
     cells = &reg->counter("scan.cells");
-    fallbacks = &reg->counter("scan.swar8_fallbacks");
-    simd_selected = &reg->counter(std::string("scan.simd.selected.") +
-                                  core::simd_isa_name(policy_to_isa(resolved)));
+    simd_selected = &reg->counter(std::string("scan.simd.selected.") + core::simd_isa_name(isa));
     simd_fallbacks = &reg->counter("scan.simd.fallbacks");
     simd_rec_scalar = &reg->counter("scan.simd.records.scalar");
-    simd_rec_swar16 = &reg->counter("scan.simd.records.swar16");
-    simd_rec_swar8 = &reg->counter("scan.simd.records.swar8");
     simd_rec_striped8 = &reg->counter("scan.simd.records.striped8");
     simd_rec_striped16 = &reg->counter("scan.simd.records.striped16");
     decode_reuse = &reg->counter("scan.db.decode_reuse");
@@ -228,10 +186,8 @@ struct Worker {
 
   std::shared_ptr<const ProfileBundle> bundle;
   const align::QueryProfile* profile;    // scalar kernel + overflow ladder tail
-  const align::StripedProfile* striped;  // Sse41/Avx2 policies only
+  const align::StripedProfile* striped;  // Sse41/Avx2 tiers only
   std::vector<align::Score> row;  // scalar kernel DP row
-  align::AntidiagWorkspace ws16;
-  align::Antidiag8Workspace ws8;
   align::StripedWorkspace sws;
   std::vector<seq::Code> decode;  // Packed2-store record scratch
   // Reusable Sequence the DUST path materializes records into instead of
@@ -248,8 +204,6 @@ struct Worker {
   std::uint64_t swar8_fallbacks = 0;
   // Records resolved by each kernel tier (scan.simd.records.* metrics).
   std::uint64_t rec_scalar = 0;
-  std::uint64_t rec_swar16 = 0;
-  std::uint64_t rec_swar8 = 0;
   std::uint64_t rec_striped8 = 0;
   std::uint64_t rec_striped16 = 0;
   std::uint64_t rec_interseq = 0;   // records whose score came out of a lane
@@ -361,55 +315,36 @@ class ShardDeck {
 
 std::atomic<bool> warned_hugepage_unavailable{false};
 
-align::LocalScoreResult score_record(std::span<const seq::Code> rec,
-                                     std::span<const seq::Code> query, const align::Scoring& sc,
-                                     SimdPolicy policy, Worker& w) {
-  switch (policy) {
-    case SimdPolicy::Scalar:
-      ++w.rec_scalar;
-      return align::sw_linear_profiled(rec, *w.profile, w.row);
-    case SimdPolicy::Swar16:
-      if (align::antidiag_swar_applicable(rec.size(), query.size(), sc)) {
-        ++w.rec_swar16;
-        return align::sw_linear_antidiag_codes(rec, query, sc, w.ws16);
-      }
-      ++w.rec_scalar;
-      return align::sw_linear_profiled(rec, *w.profile, w.row);
-    case SimdPolicy::Swar8:
-      // Widest first; a saturated lane aborts the 8-bit pass at the end of
-      // the offending diagonal and the record lazily re-runs one tier down.
-      if (const auto r = align::sw_antidiag8_try(rec, query, sc, w.ws8)) {
-        ++w.rec_swar8;
-        return *r;
-      }
-      ++w.swar8_fallbacks;
-      return score_record(rec, query, sc, SimdPolicy::Swar16, w);
-    case SimdPolicy::Sse41:
-    case SimdPolicy::Avx2:
-      // Striped ladder, same lazy contract: the 8-bit pass saturates on
-      // exactly the records swar8 would (some true cell > 255), so
-      // swar8_fallbacks accounting is policy-independent; the 16-bit
-      // striped re-run covers them, and the scalar profile kernel is the
-      // final rung (true cell > 65535, or a scheme too big for a lane).
-      if (const auto r = align::sw_striped8_try(rec, *w.striped, w.sws)) {
-        ++w.rec_striped8;
-        return *r;
-      }
-      ++w.swar8_fallbacks;
-      if (const auto r = align::sw_striped16_try(rec, *w.striped, w.sws)) {
-        ++w.rec_striped16;
-        return *r;
-      }
-      ++w.rec_scalar;
-      return align::sw_linear_profiled(rec, *w.profile, w.row);
-    case SimdPolicy::Auto:
-      break;  // resolved before the record loop; reaching here is a bug
+// The overflow re-run tail every 8-bit pass shares — score_record's
+// striped8 attempt and scan_interseq's saturated lanes: a record whose
+// 8-bit pass saturated (some true cell > 255) counts once in
+// swar8_fallbacks and re-runs in 16-bit striped lanes, with the scalar
+// profile kernel as the final rung (true cell > 65535, or a scheme too big
+// for a lane).
+align::LocalScoreResult rerun_overflowed(std::span<const seq::Code> rec, Worker& w) {
+  ++w.swar8_fallbacks;
+  if (const auto r = align::sw_striped16_try(rec, *w.striped, w.sws)) {
+    ++w.rec_striped16;
+    return *r;
   }
-  throw std::invalid_argument("scan_database_cpu: unknown SIMD policy");
+  ++w.rec_scalar;
+  return align::sw_linear_profiled(rec, *w.profile, w.row);
 }
 
-void insert_top_k(std::vector<Hit>& hits, Hit hit, std::size_t top_k) {
-  retrieve::topk_insert(hits, std::move(hit), top_k, hit_ranks_before);
+// The striped ladder for one record: the widest 8-bit striped pass first,
+// lazily re-run one tier down on saturation. The scalar tier runs the
+// profile kernel alone.
+align::LocalScoreResult score_record(std::span<const seq::Code> rec, core::SimdIsa isa,
+                                     Worker& w) {
+  if (isa == core::SimdIsa::Scalar) {
+    ++w.rec_scalar;
+    return align::sw_linear_profiled(rec, *w.profile, w.row);
+  }
+  if (const auto r = align::sw_striped8_try(rec, *w.striped, w.sws)) {
+    ++w.rec_striped8;
+    return *r;
+  }
+  return rerun_overflowed(rec, w);
 }
 
 // DUST check materializing record `r` through the worker's reusable
@@ -421,32 +356,36 @@ bool dust_suppressed_at(const RecordSource& src, std::size_t r, const align::Cel
   return dust_suppressed(w.seq_buf, end, opt);
 }
 
-// Scores one record and folds any hit into the worker's top-k — shared by
-// the whole-database scan and the id-list chunk scan so both stay
-// bit-identical per record.
-void scan_one(const RecordSource& src, std::size_t r, std::span<const seq::Code> qcodes,
-              const align::Scoring& sc, const ScanOptions& opt, SimdPolicy policy, Worker& w) {
-  const std::span<const seq::Code> rec = src.codes(r, w.decode);
-  if (rec.empty()) return;
-  w.cell_updates += static_cast<std::uint64_t>(rec.size()) * qcodes.size();
-  const align::LocalScoreResult best = score_record(rec, qcodes, sc, policy, w);
+// Folds record `r`'s best cell into the worker's top-k unless it misses
+// min_score or DUST suppresses it — shared by both kernel shapes so they
+// stay bit-identical per record.
+void offer_hit(const RecordSource& src, std::size_t r, const align::LocalScoreResult& best,
+               const ScanOptions& opt, Worker& w) {
   if (best.score < opt.min_score) return;
   if (opt.dust_filter && dust_suppressed_at(src, r, best.end, opt, w)) return;
   Hit hit;
   hit.record = r;
   hit.result = best;
-  insert_top_k(w.hits, std::move(hit), opt.top_k);
+  retrieve::topk_insert(w.hits, std::move(hit), opt.top_k, hit_ranks_before);
 }
 
-// One worker's inter-sequence scan: `next_record` streams record ids (the
-// caller decides the order — the store's length-descending schedule, or a
-// shard-locally sorted id list); the kernel packs one record per 8-bit
-// lane and this function folds every retired lane through EXACTLY the
-// ladder tail score_record runs after a striped8 saturation, so hits,
-// swar8_fallbacks and the tier counters stay bit-identical to every
-// striped/SWAR/scalar policy.
+// Scores one record on the striped ladder and offers it to the top-k.
+void scan_one(const RecordSource& src, std::size_t r, std::size_t query_len,
+              const ScanOptions& opt, core::SimdIsa isa, Worker& w) {
+  const std::span<const seq::Code> rec = src.codes(r, w.decode);
+  if (rec.empty()) return;
+  w.cell_updates += static_cast<std::uint64_t>(rec.size()) * query_len;
+  offer_hit(src, r, score_record(rec, isa, w), opt, w);
+}
+
+// One worker's inter-sequence scan: `next_record` streams record ids in
+// the scan's length-descending order; the kernel packs one record per
+// 8-bit lane and this function folds every retired lane through EXACTLY
+// the overflow tail score_record runs after a striped8 saturation, so
+// hits, swar8_fallbacks and the tier counters stay bit-identical to the
+// striped shape.
 void scan_interseq(const RecordSource& src, const align::InterSeqProfile& prof,
-                   std::span<const seq::Code> qcodes, const ScanOptions& opt, Worker& w,
+                   std::size_t query_len, const ScanOptions& opt, Worker& w,
                    const std::function<std::optional<std::uint32_t>()>& next_record) {
   if (w.lane_decode.size() < prof.lanes8()) w.lane_decode.resize(prof.lanes8());
   const auto fetch = [&](unsigned lane) -> std::optional<align::InterSeqRecord> {
@@ -462,31 +401,12 @@ void scan_interseq(const RecordSource& src, const align::InterSeqProfile& prof,
   };
   const auto done = [&](std::uint64_t tag, std::span<const seq::Code> rec,
                         const std::optional<align::LocalScoreResult>& in_lane) {
-    const std::size_t r = static_cast<std::size_t>(tag);
-    w.cell_updates += static_cast<std::uint64_t>(rec.size()) * qcodes.size();
-    align::LocalScoreResult best;
-    if (in_lane.has_value()) {
-      ++w.rec_interseq;
-      best = *in_lane;
-    } else {
-      // The lane saturated — identical predicate to the striped/SWAR
-      // 8-bit kernels ("some true cell > 255"), so this is the same lazy
-      // re-run tail as score_record's striped ladder.
-      ++w.swar8_fallbacks;
-      if (const auto rr = align::sw_striped16_try(rec, *w.striped, w.sws)) {
-        ++w.rec_striped16;
-        best = *rr;
-      } else {
-        ++w.rec_scalar;
-        best = align::sw_linear_profiled(rec, *w.profile, w.row);
-      }
-    }
-    if (best.score < opt.min_score) return;
-    if (opt.dust_filter && dust_suppressed_at(src, r, best.end, opt, w)) return;
-    Hit hit;
-    hit.record = r;
-    hit.result = best;
-    insert_top_k(w.hits, std::move(hit), opt.top_k);
+    w.cell_updates += static_cast<std::uint64_t>(rec.size()) * query_len;
+    if (in_lane.has_value()) ++w.rec_interseq;
+    // A saturated lane has the striped8 predicate ("some true cell >
+    // 255"), so it takes the same re-run tail.
+    const align::LocalScoreResult best = in_lane.has_value() ? *in_lane : rerun_overflowed(rec, w);
+    offer_hit(src, static_cast<std::size_t>(tag), best, opt, w);
   };
   const align::InterSeqStats st = align::sw_interseq_scan(prof, w.iws, fetch, done);
   w.istats.batches += st.batches;
@@ -512,7 +432,7 @@ void merge_workers(std::vector<Worker>& workers, std::size_t top_k, ScanResult& 
 }
 
 // Per-scan metric flush: the totals plus which kernel tier resolved each
-// record. Counter adds of zero are skipped so a scalar-policy scan never
+// record. Counter adds of zero are skipped so a scalar-tier scan never
 // touches the striped counters' cache lines.
 void flush_scan_metrics(const ScanMetrics& metrics, const std::vector<Worker>& workers,
                         const ScanResult& out) {
@@ -520,24 +440,17 @@ void flush_scan_metrics(const ScanMetrics& metrics, const std::vector<Worker>& w
   metrics.scans->add(1);
   metrics.records->add(out.records_scanned);
   metrics.cells->add(out.cell_updates);
-  metrics.fallbacks->add(out.swar8_fallbacks);
   metrics.simd_selected->add(1);
   std::uint64_t scalar = 0;
-  std::uint64_t swar16 = 0;
-  std::uint64_t swar8 = 0;
   std::uint64_t striped8 = 0;
   std::uint64_t striped16 = 0;
   for (const Worker& w : workers) {
     scalar += w.rec_scalar;
-    swar16 += w.rec_swar16;
-    swar8 += w.rec_swar8;
     striped8 += w.rec_striped8;
     striped16 += w.rec_striped16;
   }
   if (out.swar8_fallbacks != 0) metrics.simd_fallbacks->add(out.swar8_fallbacks);
   if (scalar != 0) metrics.simd_rec_scalar->add(scalar);
-  if (swar16 != 0) metrics.simd_rec_swar16->add(swar16);
-  if (swar8 != 0) metrics.simd_rec_swar8->add(swar8);
   if (striped8 != 0) metrics.simd_rec_striped8->add(striped8);
   if (striped16 != 0) metrics.simd_rec_striped16->add(striped16);
   std::uint64_t reused = 0;
@@ -628,50 +541,107 @@ std::vector<std::uint32_t> run_prefilter(const seq::Sequence& query, const db::S
   return ids;
 }
 
-ScanResult scan_source_cpu(const seq::Sequence& query, const RecordSource& src,
-                           const align::Scoring& sc, const ScanOptions& opt) {
+// Sorts record ids length-descending, ties by id — the order a store's
+// schedule_order precomputes, so co-resident interseq lanes retire
+// near-together.
+void sort_length_desc(const RecordSource& src, std::vector<std::uint32_t>& ids) {
+  std::sort(ids.begin(), ids.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const std::size_t la = src.length(a);
+    const std::size_t lb = src.length(b);
+    if (la != lb) return la > lb;
+    return a < b;
+  });
+}
+
+// The one CPU scan, over an id domain: `chunk` nullopt scans every record
+// of `src` (scan_database_cpu); an id list scans just those records
+// (scan_records_cpu, the scan service's dispatch unit). A chunk runs on
+// one worker with no placement plan and no streaming hints: the service
+// executor that calls it already owns placement (the dispatcher hands
+// node-local chunks to pinned executors), and a per-chunk topology probe
+// or madvise would cost syscalls on every chunk. `what` names the entry
+// point in error messages.
+ScanResult scan_cpu(const seq::Sequence& query, const RecordSource& src,
+                    std::optional<std::span<const std::uint32_t>> chunk,
+                    const align::Scoring& sc, const ScanOptions& opt, const char* what) {
   opt.validate();
   sc.validate();
-  src.check_alphabet(query, "scan_database_cpu");
+  src.check_alphabet(query, what);
   const bool seeded = opt.filter == FilterMode::Seeded;
-  if (seeded) require_seeded_source(src, "scan_database_cpu");
+  if (seeded) require_seeded_source(src, what);
+  const bool whole = !chunk.has_value();
+  const std::span<const std::uint32_t> chunk_ids = chunk.value_or(std::span<const std::uint32_t>{});
+  for (const std::uint32_t r : chunk_ids) {
+    if (r >= src.size()) {
+      throw std::invalid_argument(std::string(what) + ": record id " + std::to_string(r) +
+                                  " out of range");
+    }
+  }
 
   ScanResult out;
-  out.records_scanned = src.size();
-  if (query.empty() || src.size() == 0) return out;
+  out.records_scanned = whole ? src.size() : chunk_ids.size();
+  if (query.empty() || out.records_scanned == 0) return out;
 
-  // Seeded filter: resolve the candidate set once, up front, then shard
-  // the *candidates* across workers — the exact kernels below never see a
-  // rejected record. Exact mode scans the full [0, size) domain.
+  // The ids to score: domain index i is record ids[i], or record i itself
+  // while `ids` is empty (an exact whole-source scan, every record in
+  // scope). The seeded filter resolves its candidate set once, up front,
+  // over the whole store or just the chunk, so the exact kernels below
+  // never see a rejected record.
+  const bool every_record = whole && !seeded;
   std::vector<std::uint32_t> candidates;
-  if (seeded) candidates = run_prefilter(query, *src.store(), sc, opt, {}, out);
-  const std::size_t domain = seeded ? candidates.size() : src.size();
+  if (seeded) candidates = run_prefilter(query, *src.store(), sc, opt, chunk_ids, out);
+  std::span<const std::uint32_t> ids = seeded ? std::span<const std::uint32_t>(candidates)
+                                              : chunk_ids;
+  const std::size_t domain = every_record ? src.size() : ids.size();
 
-  const SimdPolicy policy = resolve_simd_policy(opt.simd_policy);
+  const core::SimdIsa isa = core::resolve_simd_isa(opt.simd);
   const std::shared_ptr<const ProfileBundle> bundle =
-      acquire_bundle(query, sc, policy, opt.profile_cache);
+      acquire_bundle(query, sc, isa, opt.profile_cache);
   const ShapePlan plan =
       resolve_kernel_shape(requested_shape_after_env(opt.kernel), *bundle, src.is_store());
   if (domain == 0) {
     // Everything rejected: still a completed scan — flush so the
     // scan.filter.* counters reconcile with ScanResult.
-    const ScanMetrics metrics(opt.metrics, policy, plan.shape, seeded, false);
-    const std::vector<Worker> none;
-    flush_scan_metrics(metrics, none, out);
+    flush_scan_metrics(ScanMetrics(opt.metrics, isa, plan.shape, seeded, false), {}, out);
     return out;
   }
 
-  const std::size_t threads = std::min(opt.threads, domain);
-  const db::Store* store = src.store();
-  const NumaPlan numa =
-      make_numa_plan(opt.numa, threads, domain, store != nullptr ? store->payload_bytes() : 0);
-  const ScanMetrics metrics(opt.metrics, policy, plan.shape, seeded, numa.active);
+  // Interseq lanes pull records length-descending so co-resident lanes
+  // retire near-together: the store's precomputed schedule_order for an
+  // exact whole-store scan, else a sorted copy of the domain (hits are
+  // order-independent, so this is invisible in the output). Striped scans
+  // walk the domain as given.
+  std::vector<std::uint32_t> sorted;
+  if (plan.shape == KernelShape::InterSeq) {
+    if (every_record && src.is_store()) {
+      ids = src.schedule_order();
+    } else {
+      if (every_record) {
+        sorted.resize(domain);
+        std::iota(sorted.begin(), sorted.end(), 0u);
+      } else {
+        sorted.assign(ids.begin(), ids.end());
+      }
+      sort_length_desc(src, sorted);
+      ids = sorted;
+    }
+  }
+  const auto record_for = [&](std::size_t i) -> std::uint32_t {
+    return ids.empty() ? static_cast<std::uint32_t>(i) : ids[i];
+  };
 
-  // Streaming hints, issued once per store-backed scan: WILLNEED always
+  const std::size_t threads = whole ? std::min(opt.threads, domain) : 1;
+  const db::Store* store = src.store();
+  const std::size_t payload_bytes = store != nullptr ? store->payload_bytes() : 0;
+  const NumaPlan numa =
+      whole ? make_numa_plan(opt.numa, threads, domain, payload_bytes) : NumaPlan{};
+  const ScanMetrics metrics(opt.metrics, isa, plan.shape, seeded, numa.active);
+
+  // Streaming hints, issued once per whole-store scan: WILLNEED always
   // (readahead runs ahead of the kernels), HUGEPAGE when a placement plan
   // is active (fewer TLB misses while streaming) — degrading with a
   // one-time note where THP is unavailable, never an error.
-  if (store != nullptr) {
+  if (whole && store != nullptr) {
     store->advise_payload_willneed(opt.metrics);
     if (numa.active && !store->advise_payload_hugepage(opt.metrics) &&
         !warned_hugepage_unavailable.exchange(true)) {
@@ -705,28 +675,10 @@ ScanResult scan_source_cpu(const seq::Sequence& query, const RecordSource& src,
   workers.reserve(threads);
   for (std::size_t t = 0; t < threads; ++t) workers.emplace_back(bundle);
 
-  // Interseq + seeded: the store's global schedule_order covers rejected
-  // records too, so the surviving candidates are length-sorted once here
-  // and shards walk slices of that order instead.
-  std::vector<std::uint32_t> seeded_order;
-  if (seeded && plan.shape == KernelShape::InterSeq) {
-    seeded_order = candidates;
-    std::sort(seeded_order.begin(), seeded_order.end(), [&](std::uint32_t a, std::uint32_t b) {
-      const std::size_t la = src.length(a);
-      const std::size_t lb = src.length(b);
-      if (la != lb) return la > lb;
-      return a < b;
-    });
-  }
-
-  const std::span<const seq::Code> qcodes = query.codes();
   // Shard-claim accounting: with an active plan, the claimed records'
-  // encoded bytes are summed onto the worker's local/remote tally
-  // (record_for maps a domain index to its record id — the same mapping
-  // the scan loops below use, so the tallies reconcile with the payload
-  // bytes actually streamed).
-  const auto account_claim = [&](const ShardDeck::Claim& c, Worker& w,
-                                 const std::function<std::size_t(std::size_t)>& record_for) {
+  // encoded bytes are summed onto the worker's local/remote tally, so the
+  // tallies reconcile with the payload bytes actually streamed.
+  const auto account_claim = [&](const ShardDeck::Claim& c, Worker& w) {
     if (!numa.active) return;
     std::uint64_t bytes = 0;
     for (std::size_t i = c.lo; i < c.hi; ++i) bytes += src.payload_bytes(record_for(i));
@@ -743,59 +695,25 @@ ScanResult scan_source_cpu(const seq::Sequence& query, const RecordSource& src,
           numa.byte_lo[my_node],
           static_cast<std::size_t>(numa.byte_lo[my_node + 1] - numa.byte_lo[my_node]));
     }
-    if (plan.shape == KernelShape::InterSeq) {
-      // The lanes pull records one at a time; shards are claimed through
-      // the same deck, but walked via a length-descending order so
-      // co-resident lanes retire near-together: the store's precomputed
-      // schedule_order (exact), the pre-sorted candidate list (seeded),
-      // or — for vector sources, which have no precomputed schedule — a
-      // shard-local sort (length desc, id asc).
-      const std::span<const std::uint32_t> order =
-          seeded ? std::span<const std::uint32_t>(seeded_order) : src.schedule_order();
-      const auto record_for = [&](std::size_t i) -> std::size_t {
-        return order.empty() ? i : order[i];
-      };
-      std::vector<std::uint32_t> ids;  // vector-source shard, length-sorted
-      std::size_t idx = 0;
-      std::size_t idx_end = 0;
-      const auto next_record = [&]() -> std::optional<std::uint32_t> {
-        for (;;) {
-          if (idx < idx_end) {
-            const std::size_t i = idx++;
-            return order.empty() ? ids[i] : order[i];
-          }
-          const std::optional<ShardDeck::Claim> c = deck.next(my_node);
-          if (!c.has_value()) return std::nullopt;
-          account_claim(*c, w, record_for);
-          if (order.empty()) {
-            ids.resize(c->hi - c->lo);
-            std::iota(ids.begin(), ids.end(), static_cast<std::uint32_t>(c->lo));
-            std::sort(ids.begin(), ids.end(), [&](std::uint32_t a, std::uint32_t b) {
-              const std::size_t la = src.length(a);
-              const std::size_t lb = src.length(b);
-              if (la != lb) return la > lb;
-              return a < b;
-            });
-            idx = 0;
-            idx_end = ids.size();
-          } else {
-            idx = c->lo;
-            idx_end = c->hi;
-          }
-        }
-      };
-      scan_interseq(src, *plan.iprofile, qcodes, opt, w, next_record);
-    } else {
-      const auto record_for = [&](std::size_t i) -> std::size_t {
-        return seeded ? candidates[i] : i;
-      };
-      for (;;) {
+    // Streams the worker's record ids, claiming the next shard from the
+    // deck whenever the current one runs dry.
+    std::size_t idx = 0;
+    std::size_t idx_end = 0;
+    const auto next_record = [&]() -> std::optional<std::uint32_t> {
+      while (idx == idx_end) {
         const std::optional<ShardDeck::Claim> c = deck.next(my_node);
-        if (!c.has_value()) break;
-        account_claim(*c, w, record_for);
-        for (std::size_t r = c->lo; r < c->hi; ++r) {
-          scan_one(src, record_for(r), qcodes, sc, opt, policy, w);
-        }
+        if (!c.has_value()) return std::nullopt;
+        account_claim(*c, w);
+        idx = c->lo;
+        idx_end = c->hi;
+      }
+      return record_for(idx++);
+    };
+    if (plan.shape == KernelShape::InterSeq) {
+      scan_interseq(src, *plan.iprofile, query.size(), opt, w, next_record);
+    } else {
+      while (const std::optional<std::uint32_t> r = next_record()) {
+        scan_one(src, *r, query.size(), opt, isa, w);
       }
     }
     if (metrics.worker_kernel_us != nullptr) {
@@ -806,7 +724,7 @@ ScanResult scan_source_cpu(const seq::Sequence& query, const RecordSource& src,
 
   if (threads == 1) {
     // Inline on the calling thread — never pinned: affinity is a property
-    // of pool workers, not of whoever called scan_database_cpu.
+    // of pool workers, not of whoever called the scan.
     scan_shards(workers[0], numa.node_of(0));
   } else {
     // A task throwing inside the pool would terminate the process; catch
@@ -850,84 +768,18 @@ ScanResult scan_source_cpu(const seq::Sequence& query, const RecordSource& src,
 
 ScanResult scan_database_cpu(const seq::Sequence& query, const std::vector<seq::Sequence>& records,
                              const align::Scoring& sc, const ScanOptions& opt) {
-  return scan_source_cpu(query, RecordSource(records), sc, opt);
+  return scan_cpu(query, RecordSource(records), std::nullopt, sc, opt, "scan_database_cpu");
 }
 
 ScanResult scan_database_cpu(const seq::Sequence& query, const db::Store& store,
                              const align::Scoring& sc, const ScanOptions& opt) {
-  return scan_source_cpu(query, RecordSource(store), sc, opt);
+  return scan_cpu(query, RecordSource(store), std::nullopt, sc, opt, "scan_database_cpu");
 }
 
 ScanResult scan_records_cpu(const seq::Sequence& query, const RecordSource& src,
                             std::span<const std::uint32_t> record_ids, const align::Scoring& sc,
                             const ScanOptions& opt) {
-  opt.validate();
-  sc.validate();
-  src.check_alphabet(query, "scan_records_cpu");
-  const bool seeded = opt.filter == FilterMode::Seeded;
-  if (seeded) require_seeded_source(src, "scan_records_cpu");
-  for (const std::uint32_t r : record_ids) {
-    if (r >= src.size()) {
-      throw std::invalid_argument("scan_records_cpu: record id " + std::to_string(r) +
-                                  " out of range");
-    }
-  }
-
-  ScanResult out;
-  out.records_scanned = record_ids.size();
-  if (query.empty() || record_ids.empty()) return out;
-
-  // Seeded filter restricted to this chunk's ids — the scan service's
-  // chunked dispatch composes with the funnel for free.
-  std::vector<std::uint32_t> candidates;
-  if (seeded) {
-    candidates = run_prefilter(query, *src.store(), sc, opt, record_ids, out);
-    record_ids = candidates;
-  }
-
-  const SimdPolicy policy = resolve_simd_policy(opt.simd_policy);
-  const std::shared_ptr<const ProfileBundle> bundle =
-      acquire_bundle(query, sc, policy, opt.profile_cache);
-  const ShapePlan plan =
-      resolve_kernel_shape(requested_shape_after_env(opt.kernel), *bundle, src.is_store());
-  // Chunk scans run single-worker inside a service executor that already
-  // owns placement (the dispatcher hands node-local chunks to pinned
-  // executors), so the engine-level plan stays off here.
-  const ScanMetrics metrics(opt.metrics, policy, plan.shape, seeded, false);
-  std::vector<Worker> workers;
-  workers.emplace_back(bundle);
-  const std::span<const seq::Code> qcodes = query.codes();
-  const auto start = std::chrono::steady_clock::now();
-  if (plan.shape == KernelShape::InterSeq) {
-    // Chunk scans carry no precomputed schedule; sort a copy of the id
-    // list (length desc, id asc) so lanes retire near-together. Hits are
-    // order-independent, so this is invisible in the output.
-    std::vector<std::uint32_t> ids(record_ids.begin(), record_ids.end());
-    std::sort(ids.begin(), ids.end(), [&](std::uint32_t a, std::uint32_t b) {
-      const std::size_t la = src.length(a);
-      const std::size_t lb = src.length(b);
-      if (la != lb) return la > lb;
-      return a < b;
-    });
-    std::size_t idx = 0;
-    const auto next_record = [&]() -> std::optional<std::uint32_t> {
-      if (idx >= ids.size()) return std::nullopt;
-      return ids[idx++];
-    };
-    scan_interseq(src, *plan.iprofile, qcodes, opt, workers[0], next_record);
-  } else {
-    for (const std::uint32_t r : record_ids) {
-      scan_one(src, r, qcodes, sc, opt, policy, workers[0]);
-    }
-  }
-  if (metrics.worker_kernel_us != nullptr) {
-    metrics.worker_kernel_us->observe_seconds(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
-  }
-  merge_workers(workers, opt.top_k, out);
-  flush_scan_metrics(metrics, workers, out);
-  retrieve_alignments(query, src, sc, opt, out);
-  return out;
+  return scan_cpu(query, src, record_ids, sc, opt, "scan_records_cpu");
 }
 
 }  // namespace swr::host

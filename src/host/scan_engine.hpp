@@ -10,24 +10,26 @@
 //   * the record list is sharded into contiguous chunks handed to
 //     par::ThreadPool workers through an atomic chunk cursor (dynamic
 //     load balancing — record lengths vary wildly);
-//   * each worker owns one reusable align::QueryProfile plus scalar/SWAR
-//     scratch buffers, so per-record setup is amortised exactly once per
-//     thread;
-//   * per record, the SIMD policy ladder picks the widest exact kernel:
-//     eight 8-bit lanes with saturation-detect, lazily re-run in four
-//     16-bit lanes on overflow, scalar query-profile beyond that;
+//   * the query profiles are built once per scan and shared read-only by
+//     every worker; each worker owns only its kernel scratch buffers;
+//   * per record, the SIMD tier ladder picks the widest exact kernel:
+//     16 or 32 8-bit striped lanes with saturation-detect, lazily re-run
+//     in 16-bit striped lanes on overflow, scalar query-profile beyond
+//     that (or alone, on the scalar tier);
 //   * every worker keeps its own top-k list; the partial lists are merged
 //     deterministically under hit_ranks_before at the end.
 //
 // The result is BIT-IDENTICAL to the sequential scan for every thread
-// count and SIMD policy — same hits in the same hit_ranks_before order,
+// count and SIMD tier — same hits in the same hit_ranks_before order,
 // same cell_updates — because per-record results are engine-invariant
 // (each kernel reproduces sw_linear exactly) and the merge is a total
-// order. Tests enforce this for 1/2/8 threads and all policies.
+// order. Tests enforce this for 1/2/8 threads and all tiers.
 //
 // The database reaches the engine either as an in-memory record vector
 // (the FASTA path) or as a memory-mapped db::Store (.swdb) — both run the
 // same loop via host::RecordSource, so their hits are bit-identical too.
+// The three entry points below are one scan over an id domain: the whole
+// source, or an explicit id list (a service chunk).
 //
 // ScanOptions::filter adds an optional candidate tier in front of the
 // exact kernels: FilterMode::Seeded consults the store's k-mer index and
@@ -49,7 +51,7 @@
 namespace swr::host {
 
 /// Scans `records` with `query` on the CPU engine. `opt.threads` workers,
-/// `opt.simd_policy` kernels. `cell_updates` counts |query| * |record|
+/// `opt.simd` kernels. `cell_updates` counts |query| * |record|
 /// per non-empty record — the same accounting as the accelerator scan.
 /// `board_seconds` is 0: no board is involved.
 /// @throws std::invalid_argument on bad options or alphabet mismatch.

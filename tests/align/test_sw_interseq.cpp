@@ -1,6 +1,7 @@
 // Inter-sequence (record-per-lane) kernels: profile tables, bit-identity
 // vs sw_linear across batch shapes, lane-refill edge cases, and the exact
-// per-lane saturation predicate shared with the SWAR/striped 8-bit tiers.
+// per-lane saturation predicate shared with the striped 8-bit tier and the
+// 8-bit anti-diagonal SWAR kernel.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -30,7 +31,7 @@ std::vector<unsigned> supported_lane_widths() {
 // Scores `records` through the interseq batch and checks every returned
 // result against the sw_linear oracle: a present value must be
 // bit-identical, and absence must coincide exactly with a true score
-// > 255 (the swar8/striped saturation predicate).
+// > 255 (the 8-bit saturation predicate every tier shares).
 void expect_batch_matches_oracle(const std::vector<seq::Sequence>& records,
                                  const seq::Sequence& query, const Scoring& sc, unsigned lanes,
                                  const std::string& what, InterSeqStats* stats = nullptr) {
@@ -177,7 +178,8 @@ TEST(InterSeqBatch, ProteinBlosum62) {
 
 // Straddle the 255/256 saturation boundary exactly: a record scoring 255
 // must come back exact, 256 must come back absent, and absence must agree
-// with the swar8 kernel's predicate record by record.
+// record by record with the 8-bit predicate every tier shares — the true
+// score (sw_linear) exceeds 255 — and with the swar8 kernel's predicate.
 TEST(InterSeqBatch, SaturationBoundaryExactAndSwar8PredicateParity) {
   for (const unsigned lanes : supported_lane_widths()) {
     std::vector<seq::Sequence> records;
@@ -195,6 +197,8 @@ TEST(InterSeqBatch, SaturationBoundaryExactAndSwar8PredicateParity) {
     Antidiag8Workspace ws8;
     for (std::size_t r = 0; r < records.size(); ++r) {
       const LocalScoreResult oracle = sw_linear(records[r], q300, kSc);
+      EXPECT_EQ((*batch)[r].has_value(), oracle.score <= 255)
+          << "record " << r << ": interseq must saturate on exactly the records scoring > 255";
       const auto swar8 = sw_antidiag8_try(records[r].codes(), q300.codes(), kSc, ws8);
       EXPECT_EQ((*batch)[r].has_value(), swar8.has_value())
           << "record " << r << ": interseq and swar8 must saturate on exactly the same records";

@@ -8,6 +8,7 @@
 #include <tuple>
 #include <vector>
 
+#include "align/sw_antidiag8.hpp"
 #include "align/sw_linear.hpp"
 #include "align/sw_striped.hpp"
 #include "core/cpu_features.hpp"
@@ -170,7 +171,7 @@ TEST(Striped, OverflowBoundaryExactly255Succeeds) {
 TEST(Striped, OverflowBoundaryExactly256FallsBackOnce) {
   // One base longer: best score 256. The 8-bit pass must detect the clamp
   // and bail; the 16-bit striped re-run must produce the exact result;
-  // the ladder counts exactly one fallback — the swar8 accounting rule.
+  // the ladder counts exactly one fallback — the swar8_fallbacks rule.
   const seq::Sequence s = seq::Sequence::dna(std::string(256, 'A'));
   const LocalScoreResult ref = sw_linear(s, s, kSc);
   ASSERT_EQ(ref.score, 256);
@@ -285,10 +286,11 @@ TEST(Striped, HomologPairStress) {
 }
 
 TEST(Striped, SaturationPredicateMatchesSwar8Exactly) {
-  // The engine's fallback accounting requires the striped 8-bit kernel
-  // and the swar8 anti-diagonal kernel to overflow on EXACTLY the same
-  // records: both predicates are "some true cell value > 255". Randomized
-  // homolog pairs near the boundary exercise both sides of it.
+  // The engine's fallback accounting requires the striped 8-bit kernel to
+  // overflow on EXACTLY the records whose true score (sw_linear) exceeds
+  // 255 — the predicate the inter-sequence kernel and the swar8
+  // anti-diagonal kernel share. Randomized homolog pairs near the
+  // boundary exercise both sides of it.
   std::mt19937_64 rng(97);
   for (int iter = 0; iter < 60; ++iter) {
     const std::size_t len = 40 + static_cast<std::size_t>(rng() % 80);
@@ -296,12 +298,15 @@ TEST(Striped, SaturationPredicateMatchesSwar8Exactly) {
     mm.substitution_rate = 0.05 + 0.001 * static_cast<double>(rng() % 50);
     const auto pair = seq::make_homolog_pair(len, mm, rng());
     const LocalScoreResult ref = sw_linear(pair.a, pair.b, kSc);
-    const bool swar8_overflows = ref.score > 0xFF;
+    const bool overflows = ref.score > 0xFF;
+    Antidiag8Workspace ws8;
+    EXPECT_EQ(sw_antidiag8_try(pair.a.codes(), pair.b.codes(), kSc, ws8).has_value(), !overflows)
+        << "swar8 score=" << ref.score;
     for (const unsigned lanes : supported_lane_widths()) {
       const StripedProfile p(pair.b, kSc, lanes);
       StripedWorkspace ws;
       const auto got = sw_striped8_try(pair.a.codes(), p, ws);
-      EXPECT_EQ(got.has_value(), !swar8_overflows)
+      EXPECT_EQ(got.has_value(), !overflows)
           << "lanes=" << lanes << " score=" << ref.score;
       if (got.has_value()) EXPECT_EQ(*got, ref);
     }

@@ -175,8 +175,8 @@ TEST(AntiDiag8, SchemeMagnitudesBeyondOneByteAreRejected) {
 }
 
 TEST(AntiDiag8, WorkspaceReuseAcrossRecordsIsExact) {
-  // The scan engine reuses one workspace for every record a thread
-  // claims; growing and shrinking records must not leak state.
+  // One workspace serves every record of a multi-record comparison;
+  // growing and shrinking records must not leak state.
   Antidiag8Workspace ws;
   for (const std::size_t len : {40u, 200u, 8u, 97u, 3u, 250u}) {
     const seq::Sequence a = swr::test::random_dna(len, 1000 + len);

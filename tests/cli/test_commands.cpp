@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "cli/commands.hpp"
+#include "obs/metrics.hpp"
 #include "seq/fasta.hpp"
 #include "seq/mutate.hpp"
 #include "seq/random.hpp"
@@ -90,7 +91,7 @@ TEST(CliScan, FindsPlantedRecord) {
   }
   const std::string qf = write_fa("cli_q", {q});
   const std::string dbf = write_fa("cli_db", db);
-  const RunResult r = run("scan", {qf, dbf, "--top", "3", "--pes", "50"});
+  const RunResult r = run("scan", {qf, dbf, "--top", "3", "--engine", "accel", "--pes", "50"});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("1. rec4_hit"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("E "), std::string::npos);
@@ -107,7 +108,7 @@ TEST(CliScan, CpuEngineMatchesAcceleratorScan) {
   }
   const std::string qf = write_fa("cli_q2", {q});
   const std::string dbf = write_fa("cli_db2", db);
-  const RunResult accel = run("scan", {qf, dbf, "--top", "4", "--pes", "50"});
+  const RunResult accel = run("scan", {qf, dbf, "--top", "4", "--engine", "accel", "--pes", "50"});
   EXPECT_EQ(accel.code, 0) << accel.err;
   for (const std::string threads : {"1", "2", "8"}) {
     const RunResult cpu =
@@ -115,7 +116,7 @@ TEST(CliScan, CpuEngineMatchesAcceleratorScan) {
     EXPECT_EQ(cpu.code, 0) << cpu.err;
     EXPECT_EQ(cpu.out, accel.out) << threads << " threads";  // identical report
   }
-  // threads > 1 flips the auto engine to cpu — same output again.
+  // The default (auto) engine is the CPU engine — same output again.
   const RunResult auto2 = run("scan", {qf, dbf, "--top", "4", "--threads", "2"});
   EXPECT_EQ(auto2.code, 0) << auto2.err;
   EXPECT_EQ(auto2.out, accel.out);
@@ -133,8 +134,7 @@ TEST(CliScan, UnknownSimdPolicyListsChoices) {
   const RunResult r = run("scan", {"q.fa", "db.fa", "--simd", "avx512"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("avx512"), std::string::npos) << r.err;
-  EXPECT_NE(r.err.find("choices: auto|scalar|swar16|swar8|sse41|avx2"), std::string::npos)
-      << r.err;
+  EXPECT_NE(r.err.find("choices: auto|scalar|sse41|avx2"), std::string::npos) << r.err;
 }
 
 TEST(CliScan, EverySimdPolicyProducesTheSameReport) {
@@ -153,12 +153,43 @@ TEST(CliScan, EverySimdPolicyProducesTheSameReport) {
   // An unsupported striped request degrades (one-time stderr warning)
   // rather than failing, so every spelling must succeed everywhere and
   // report identical hits.
-  for (const std::string simd : {"auto", "scalar", "swar16", "swar8", "sse41", "avx2"}) {
+  for (const std::string simd : {"auto", "scalar", "sse41", "avx2"}) {
     const RunResult r =
         run("scan", {qf, dbf, "--top", "3", "--engine", "cpu", "--simd", simd});
     EXPECT_EQ(r.code, 0) << simd << ": " << r.err;
     EXPECT_EQ(r.out, ref.out) << "--simd " << simd;
   }
+}
+
+// With no --engine the scan runs on the CPU engine, never the cycle
+// simulator: same bytes as --engine cpu, and the CPU engine's scan.scans
+// counter (which the accelerator model never touches) moves. The deleted
+// SWAR tiers are no longer a --simd choice.
+TEST(CliScan, DefaultEngineIsTheCpuEngine) {
+  seq::RandomSequenceGenerator gen(12);
+  const seq::Sequence q = gen.uniform(seq::dna(), 40, "query");
+  std::vector<seq::Sequence> db;
+  for (int k = 0; k < 6; ++k) {
+    seq::Sequence rec = gen.uniform(seq::dna(), 250, "rec" + std::to_string(k));
+    if (k == 1) rec.append(seq::point_mutate(q, 0.02, gen.engine()));
+    db.push_back(std::move(rec));
+  }
+  const std::string qf = write_fa("cli_q4", {q});
+  const std::string dbf = write_fa("cli_db4", db);
+  const RunResult cpu = run("scan", {qf, dbf, "--top", "3", "--engine", "cpu"});
+  ASSERT_EQ(cpu.code, 0) << cpu.err;
+  const RunResult def = run("scan", {qf, dbf, "--top", "3"});
+  ASSERT_EQ(def.code, 0) << def.err;
+  EXPECT_EQ(def.out, cpu.out);
+
+  obs::Counter& scans = obs::global_registry().counter("scan.scans");
+  const std::uint64_t before = scans.value();
+  ASSERT_EQ(run("scan", {qf, dbf, "--top", "3", "--stats"}).code, 0);
+  EXPECT_EQ(scans.value(), before + 1);
+
+  const RunResult swar = run("scan", {qf, dbf, "--simd", "swar8"});
+  EXPECT_EQ(swar.code, 2);
+  EXPECT_NE(swar.err.find("choices: auto|scalar|sse41|avx2"), std::string::npos) << swar.err;
 }
 
 TEST(CliTranslate, SingleFrameAndSix) {

@@ -11,6 +11,7 @@
 #include "seq/fasta.hpp"
 #include "seq/mutate.hpp"
 #include "seq/random.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -54,9 +55,12 @@ struct Fixture {
       if (r % 9 == 4) rec.append(seq::point_mutate(query, 0.04, gen.engine()));
       recs.push_back(std::move(rec));
     }
-    query_fa = testing::TempDir() + "/retrieve_q.fa";
-    db_fa = testing::TempDir() + "/retrieve_db.fa";
-    db_swdb = testing::TempDir() + "/retrieve_db.swdb";
+    // Per-process leaves: ctest runs every AlignLeg* test as its own
+    // process, and a shared leaf let one process rebuild the .swdb another
+    // had mapped mid-scan (SIGBUS).
+    query_fa = testing::TempDir() + "/" + test::unique_leaf("retrieve_q.fa");
+    db_fa = testing::TempDir() + "/" + test::unique_leaf("retrieve_db.fa");
+    db_swdb = testing::TempDir() + "/" + test::unique_leaf("retrieve_db.swdb");
     seq::write_fasta_file(query_fa, {query});
     seq::write_fasta_file(db_fa, recs);
     EXPECT_EQ(run("swdb", {"build", db_fa, db_swdb}).code, 0);

@@ -42,8 +42,6 @@ class ScopedSimdEnv {
 
 TEST(CpuFeatures, ParseAcceptsEveryCanonicalName) {
   EXPECT_EQ(parse_simd_isa("scalar"), SimdIsa::Scalar);
-  EXPECT_EQ(parse_simd_isa("swar16"), SimdIsa::Swar16);
-  EXPECT_EQ(parse_simd_isa("swar8"), SimdIsa::Swar8);
   EXPECT_EQ(parse_simd_isa("sse41"), SimdIsa::Sse41);
   EXPECT_EQ(parse_simd_isa("avx2"), SimdIsa::Avx2);
   EXPECT_EQ(parse_simd_isa("auto"), std::nullopt);
@@ -57,22 +55,17 @@ TEST(CpuFeatures, ParseRejectsUnknownWithListedChoices) {
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("sse42"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("choices: auto|scalar|swar16|swar8|sse41|avx2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("choices: auto|scalar|sse41|avx2"), std::string::npos) << msg;
   }
 }
 
 TEST(CpuFeatures, NameRoundTripsThroughParse) {
-  for (const SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Swar16, SimdIsa::Swar8, SimdIsa::Sse41,
-                            SimdIsa::Avx2}) {
+  for (const SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Sse41, SimdIsa::Avx2}) {
     EXPECT_EQ(parse_simd_isa(simd_isa_name(isa)), isa);
   }
 }
 
-TEST(CpuFeatures, PortableTiersAlwaysSupported) {
-  EXPECT_TRUE(cpu_supports(SimdIsa::Scalar));
-  EXPECT_TRUE(cpu_supports(SimdIsa::Swar16));
-  EXPECT_TRUE(cpu_supports(SimdIsa::Swar8));
-}
+TEST(CpuFeatures, PortableTiersAlwaysSupported) { EXPECT_TRUE(cpu_supports(SimdIsa::Scalar)); }
 
 TEST(CpuFeatures, SupportIsMonotonicInWidth) {
   // A CPU with AVX2 always has SSE4.1; detection must agree, and must
@@ -87,15 +80,14 @@ TEST(CpuFeatures, SupportIsMonotonicInWidth) {
 TEST(CpuFeatures, DetectedIsWidestSupported) {
   const SimdIsa d = detected_simd_isa();
   EXPECT_TRUE(cpu_supports(d));
-  EXPECT_GE(static_cast<unsigned>(d), static_cast<unsigned>(SimdIsa::Swar8));
   if (cpu_supports(SimdIsa::Avx2)) EXPECT_EQ(d, SimdIsa::Avx2);
   else if (cpu_supports(SimdIsa::Sse41)) EXPECT_EQ(d, SimdIsa::Sse41);
-  else EXPECT_EQ(d, SimdIsa::Swar8);
+  else EXPECT_EQ(d, SimdIsa::Scalar);
 }
 
 TEST(CpuFeatures, ClampHonoursSupportedRequests) {
   std::string warning = "stale";
-  EXPECT_EQ(clamp_simd_isa(SimdIsa::Swar8, SimdIsa::Avx2, &warning), SimdIsa::Swar8);
+  EXPECT_EQ(clamp_simd_isa(SimdIsa::Scalar, SimdIsa::Avx2, &warning), SimdIsa::Scalar);
   EXPECT_TRUE(warning.empty());  // no degrade -> warning cleared
   EXPECT_EQ(clamp_simd_isa(SimdIsa::Sse41, SimdIsa::Sse41, &warning), SimdIsa::Sse41);
   EXPECT_TRUE(warning.empty());
@@ -103,17 +95,16 @@ TEST(CpuFeatures, ClampHonoursSupportedRequests) {
 
 TEST(CpuFeatures, ClampDegradesUnsupportedRequestWithWarning) {
   std::string warning;
-  EXPECT_EQ(clamp_simd_isa(SimdIsa::Avx2, SimdIsa::Swar8, &warning), SimdIsa::Swar8);
+  EXPECT_EQ(clamp_simd_isa(SimdIsa::Avx2, SimdIsa::Scalar, &warning), SimdIsa::Scalar);
   EXPECT_NE(warning.find("avx2"), std::string::npos) << warning;
-  EXPECT_NE(warning.find("swar8"), std::string::npos) << warning;
+  EXPECT_NE(warning.find("scalar"), std::string::npos) << warning;
   EXPECT_NE(warning.find("degrading"), std::string::npos) << warning;
   // Null warning pointer is fine.
   EXPECT_EQ(clamp_simd_isa(SimdIsa::Avx2, SimdIsa::Sse41), SimdIsa::Sse41);
 }
 
 TEST(CpuFeatures, EffectiveNeverExceedsMachine) {
-  for (const SimdIsa req : {SimdIsa::Scalar, SimdIsa::Swar16, SimdIsa::Swar8, SimdIsa::Sse41,
-                            SimdIsa::Avx2}) {
+  for (const SimdIsa req : {SimdIsa::Scalar, SimdIsa::Sse41, SimdIsa::Avx2}) {
     const SimdIsa got = effective_simd_isa(req);
     EXPECT_TRUE(cpu_supports(got));
     EXPECT_LE(static_cast<unsigned>(got), static_cast<unsigned>(req));
@@ -127,9 +118,20 @@ TEST(CpuFeatures, EnvOverrideWinsOverDetection) {
     EXPECT_EQ(auto_simd_isa(), SimdIsa::Scalar);
   }
   {
-    ScopedSimdEnv env("swar8");
-    EXPECT_EQ(auto_simd_isa(), SimdIsa::Swar8);
+    ScopedSimdEnv env("sse41");
+    EXPECT_EQ(auto_simd_isa(), cpu_supports(SimdIsa::Sse41) ? SimdIsa::Sse41 : SimdIsa::Scalar);
   }
+}
+
+TEST(CpuFeatures, ResolveTreatsNulloptAsAuto) {
+  {
+    ScopedSimdEnv env("scalar");
+    EXPECT_EQ(resolve_simd_isa(std::nullopt), SimdIsa::Scalar);  // auto honours SWR_SIMD
+    EXPECT_EQ(resolve_simd_isa(SimdIsa::Avx2), effective_simd_isa(SimdIsa::Avx2));
+  }
+  ScopedSimdEnv env(nullptr);
+  EXPECT_EQ(resolve_simd_isa(std::nullopt), detected_simd_isa());
+  EXPECT_EQ(resolve_simd_isa(SimdIsa::Scalar), SimdIsa::Scalar);
 }
 
 TEST(CpuFeatures, EnvAutoAndUnsetFallBackToDetection) {

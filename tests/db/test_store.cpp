@@ -22,7 +22,12 @@ namespace {
 
 using namespace swr;
 
-std::string temp_path(const std::string& leaf) { return testing::TempDir() + "/" + leaf; }
+// Per-process leaves: ctest runs each test as its own process, and the
+// SwdbCorruption fixture's shared leaf let one test rewrite the file
+// another was reading.
+std::string temp_path(const std::string& leaf) {
+  return testing::TempDir() + "/" + test::unique_leaf(leaf);
+}
 
 std::vector<seq::Sequence> mixed_dna_records() {
   std::vector<seq::Sequence> recs;
@@ -168,16 +173,16 @@ TEST(SwdbStore, ScanParityEveryEngine) {
   const seq::Sequence query = seq::Sequence::dna("ACGTACGTACGTACGT", "q");
   const align::Scoring sc = align::Scoring::paper_default();
 
-  for (const auto policy : {host::SimdPolicy::Auto, host::SimdPolicy::Scalar,
-                            host::SimdPolicy::Swar16, host::SimdPolicy::Swar8}) {
+  const std::optional<core::SimdIsa> tiers[] = {std::nullopt, core::SimdIsa::Scalar};
+  for (const std::optional<core::SimdIsa> simd : tiers) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       host::ScanOptions opt;
       opt.top_k = 6;
       opt.threads = threads;
-      opt.simd_policy = policy;
+      opt.simd = simd;
       const host::ScanResult direct = host::scan_database_cpu(query, recs, sc, opt);
       const host::ScanResult mapped = host::scan_database_cpu(query, store, sc, opt);
-      SCOPED_TRACE("policy=" + std::to_string(static_cast<int>(policy)) +
+      SCOPED_TRACE("simd=" + test::simd_label(simd) +
                    " threads=" + std::to_string(threads));
       expect_same_hits(direct, mapped);
       EXPECT_EQ(direct.swar8_fallbacks, mapped.swar8_fallbacks);

@@ -87,17 +87,18 @@ TEST(FilterParity, SeededEqualsExactAcrossShapesPoliciesThreads) {
   ASSERT_GE(exact.hits.size(), 5u);  // the ladder actually plants hits
 
   for (const KernelShape shape : {KernelShape::Auto, KernelShape::Striped, KernelShape::InterSeq}) {
-    for (const SimdPolicy policy :
-         {SimdPolicy::Auto, SimdPolicy::Scalar, SimdPolicy::Swar8, SimdPolicy::Avx2}) {
+    const std::optional<core::SimdIsa> tiers[] = {std::nullopt, core::SimdIsa::Scalar,
+                                                  core::SimdIsa::Avx2};
+    for (const std::optional<core::SimdIsa> simd : tiers) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         ScanOptions sopt = opt;
         sopt.filter = FilterMode::Seeded;
         sopt.kernel = shape;
-        sopt.simd_policy = policy;
+        sopt.simd = simd;
         sopt.threads = threads;
         const ScanResult seeded = scan_database_cpu(db.query, store, align::Scoring{}, sopt);
         const std::string what = std::string("shape ") + core::kernel_shape_name(shape) +
-                                 " policy " + std::to_string(static_cast<int>(policy)) +
+                                 " simd " + test::simd_label(simd) +
                                  " threads " + std::to_string(threads);
         expect_same_hits(seeded, exact, what);
         expect_filter_accounting(seeded, db.records.size(), what);
@@ -133,15 +134,16 @@ TEST(FilterParity, Blosum62ProteinParity) {
   ASSERT_FALSE(exact.hits.empty());
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const SimdPolicy policy : {SimdPolicy::Auto, SimdPolicy::Scalar}) {
+    const std::optional<core::SimdIsa> tiers[] = {std::nullopt, core::SimdIsa::Scalar};
+    for (const std::optional<core::SimdIsa> simd : tiers) {
       ScanOptions sopt = opt;
       sopt.filter = FilterMode::Seeded;
       sopt.threads = threads;
-      sopt.simd_policy = policy;
+      sopt.simd = simd;
       const ScanResult seeded = scan_database_cpu(query, store, sc, sopt);
       expect_same_hits(seeded, exact,
-                       "protein threads " + std::to_string(threads) + " policy " +
-                           std::to_string(static_cast<int>(policy)));
+                       "protein threads " + std::to_string(threads) + " simd " +
+                           test::simd_label(simd));
       expect_filter_accounting(seeded, records.size(), "protein");
     }
   }

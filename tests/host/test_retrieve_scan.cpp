@@ -126,16 +126,17 @@ TEST(AlignParity, BitIdenticalAcrossShapesPoliciesThreads) {
   expect_replay(base, db.query, db.records, sc, "baseline");
 
   for (const KernelShape shape : {KernelShape::Auto, KernelShape::Striped, KernelShape::InterSeq}) {
-    for (const SimdPolicy policy :
-         {SimdPolicy::Auto, SimdPolicy::Scalar, SimdPolicy::Swar8, SimdPolicy::Avx2}) {
+    const std::optional<core::SimdIsa> tiers[] = {std::nullopt, core::SimdIsa::Scalar,
+                                                  core::SimdIsa::Avx2};
+    for (const std::optional<core::SimdIsa> simd : tiers) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         ScanOptions sopt = opt;
         sopt.kernel = shape;
-        sopt.simd_policy = policy;
+        sopt.simd = simd;
         sopt.threads = threads;
         const ScanResult got = scan_database_cpu(db.query, store, sc, sopt);
         const std::string what = std::string("shape ") + core::kernel_shape_name(shape) +
-                                 " policy " + std::to_string(static_cast<int>(policy)) +
+                                 " simd " + test::simd_label(simd) +
                                  " threads " + std::to_string(threads);
         expect_same_hits(got, base, what);
         expect_same_alignments(got, base, what);

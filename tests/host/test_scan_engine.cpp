@@ -1,5 +1,5 @@
 // The parallel sharded CPU scan engine: bit-identical output to the
-// sequential accelerator scan for every thread count and SIMD policy.
+// sequential accelerator scan for every thread count and SIMD tier.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -19,21 +19,13 @@ namespace {
 
 using namespace swr;
 using namespace swr::host;
+using test::kSimdRequests;
+using test::leads_with_bytes;
+using test::simd_label;
 
 const align::Scoring kSc = align::Scoring::paper_default();
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
-constexpr SimdPolicy kPolicies[] = {SimdPolicy::Auto,  SimdPolicy::Scalar, SimdPolicy::Swar16,
-                                    SimdPolicy::Swar8, SimdPolicy::Sse41,  SimdPolicy::Avx2};
-
-// Whether SimdPolicy::Auto resolves to an 8-bit-leading tier on this
-// host (it honours any SWR_SIMD override, like the engine itself does).
-bool auto_leads_with_bytes() {
-  const core::SimdIsa isa = core::auto_simd_isa();
-  return isa == core::SimdIsa::Swar8 || isa == core::SimdIsa::Sse41 ||
-         isa == core::SimdIsa::Avx2;
-}
-
 void expect_same_scan(const ScanResult& got, const ScanResult& want, const std::string& what) {
   ASSERT_EQ(got.hits.size(), want.hits.size()) << what;
   for (std::size_t k = 0; k < got.hits.size(); ++k) {
@@ -77,14 +69,14 @@ TEST(ScanEngine, BitIdenticalToAcceleratorScanAcrossThreadsAndPolicies) {
     ASSERT_FALSE(ref.hits.empty());
 
     for (const std::size_t threads : kThreadCounts) {
-      for (const SimdPolicy policy : kPolicies) {
+      for (const std::optional<core::SimdIsa> simd : kSimdRequests) {
         ScanOptions copt = opt;
         copt.threads = threads;
-        copt.simd_policy = policy;
+        copt.simd = simd;
         const ScanResult got = scan_database_cpu(db.query, db.records, kSc, copt);
         expect_same_scan(got, ref,
                          "seed " + std::to_string(seed) + " threads " + std::to_string(threads) +
-                             " policy " + std::to_string(static_cast<int>(policy)));
+                             " simd " + simd_label(simd));
         EXPECT_EQ(got.board_seconds, 0.0);
       }
     }
@@ -172,8 +164,9 @@ TEST(ScanEngine, MoreThreadsThanRecordsIsFine) {
 }
 
 // A record holding an exact copy of a 300-residue query scores 300 — past
-// the 8-bit lanes' 255 ceiling — so Auto/Swar8 must count exactly one lazy
-// 16-bit re-run, the scalar/16-bit policies none, and the count must be
+// the 8-bit lanes' 255 ceiling — so every tier that resolves to an 8-bit
+// kernel must count exactly one lazy 16-bit re-run in
+// ScanResult::swar8_fallbacks, the scalar tier none, and the count must be
 // thread-count invariant (it is a per-record property).
 TEST(ScanEngine, Swar8FallbackCountSurfaced) {
   seq::RandomSequenceGenerator gen(4242);
@@ -189,22 +182,16 @@ TEST(ScanEngine, Swar8FallbackCountSurfaced) {
   for (const std::size_t threads : kThreadCounts) {
     ScanOptions opt;
     opt.threads = threads;
-    for (const SimdPolicy policy :
-         {SimdPolicy::Auto, SimdPolicy::Swar8, SimdPolicy::Sse41, SimdPolicy::Avx2}) {
-      opt.simd_policy = policy;
+    for (const std::optional<core::SimdIsa> simd : kSimdRequests) {
+      opt.simd = simd;
       const ScanResult r = scan_database_cpu(query, records, kSc, opt);
-      // Auto counts a fallback only when it resolves to a byte-leading
-      // tier (an SWR_SIMD=scalar/swar16 override makes it scalar-exact).
-      const bool bytes = policy != SimdPolicy::Auto || auto_leads_with_bytes();
-      EXPECT_EQ(r.swar8_fallbacks, bytes ? 1u : 0u)
-          << "policy " << static_cast<int>(policy) << ", " << threads << " threads";
+      // The count follows the resolved tier: an unsupported striped
+      // request (or an SWR_SIMD=scalar override of auto) degrades to the
+      // scalar kernel, which is exact without a re-run.
+      EXPECT_EQ(r.swar8_fallbacks, leads_with_bytes(simd) ? 1u : 0u)
+          << "simd " << simd_label(simd) << ", " << threads << " threads";
       ASSERT_FALSE(r.hits.empty());
       EXPECT_EQ(r.hits[0].result.score, 300);  // the re-run still scores exactly
-    }
-    for (const SimdPolicy policy : {SimdPolicy::Scalar, SimdPolicy::Swar16}) {
-      opt.simd_policy = policy;
-      EXPECT_EQ(scan_database_cpu(query, records, kSc, opt).swar8_fallbacks, 0u)
-          << "policy " << static_cast<int>(policy) << ", " << threads << " threads";
     }
   }
 }
@@ -233,10 +220,10 @@ TEST(ScanEngine, Validation) {
 //
 // The inter-sequence kernel must be invisible in every output field:
 // hits (and their ranks), records_scanned, cell_updates AND
-// swar8_fallbacks must match the striped shape for the same policy, for
+// swar8_fallbacks must match the striped shape for the same tier, for
 // every thread count, on both database representations. Where interseq
-// cannot run (non-vector policy, unsupported machine) it degrades to
-// striped, so these sweeps are safe everywhere.
+// cannot run (scalar tier, unsupported machine) it degrades to striped,
+// so these sweeps are safe everywhere.
 
 constexpr KernelShape kShapes[] = {KernelShape::Auto, KernelShape::Striped,
                                    KernelShape::InterSeq};
@@ -253,9 +240,9 @@ TEST(ScanEngineKernelShape, VectorScanBitIdenticalAcrossShapesThreadsAndPolicies
     ScanOptions opt;
     opt.top_k = 8;
     opt.min_score = 12;
-    for (const SimdPolicy policy : kPolicies) {
+    for (const std::optional<core::SimdIsa> simd : kSimdRequests) {
       ScanOptions sopt = opt;
-      sopt.simd_policy = policy;
+      sopt.simd = simd;
       sopt.kernel = KernelShape::Striped;
       const ScanResult ref = scan_database_cpu(db.query, db.records, kSc, sopt);
       for (const std::size_t threads : kThreadCounts) {
@@ -266,10 +253,8 @@ TEST(ScanEngineKernelShape, VectorScanBitIdenticalAcrossShapesThreadsAndPolicies
           const ScanResult got = scan_database_cpu(db.query, db.records, kSc, copt);
           expect_same_scan_and_fallbacks(
               got, ref,
-              "seed " + std::to_string(seed) + " policy " +
-                  std::to_string(static_cast<int>(policy)) + " threads " +
-                  std::to_string(threads) + " shape " +
-                  core::kernel_shape_name(shape));
+              "seed " + std::to_string(seed) + " simd " + simd_label(simd) + " threads " +
+                  std::to_string(threads) + " shape " + core::kernel_shape_name(shape));
         }
       }
     }
@@ -302,7 +287,7 @@ TEST(ScanEngineKernelShape, StoreScanParityAndAutoSelectsInterseq) {
   }
 
   // Auto on a store-backed scan picks the inter-sequence shape whenever
-  // the resolved policy can run it — visible through the scan.interseq.*
+  // the resolved tier can run it — visible through the scan.interseq.*
   // counters (SWR_SIMD/SWR_KERNEL overrides legitimately change this, so
   // gate on the resolved tier like the engine does).
   const core::SimdIsa isa = core::auto_simd_isa();
@@ -338,14 +323,14 @@ TEST(ScanEngineKernelShape, InterseqFallbackCountExact) {
   records.push_back(std::move(hot));
 
   for (const std::size_t threads : kThreadCounts) {
-    for (const SimdPolicy policy : {SimdPolicy::Sse41, SimdPolicy::Avx2}) {
+    for (const core::SimdIsa simd : {core::SimdIsa::Sse41, core::SimdIsa::Avx2}) {
       ScanOptions opt;
       opt.threads = threads;
-      opt.simd_policy = policy;
+      opt.simd = simd;
       opt.kernel = KernelShape::InterSeq;
       const ScanResult r = scan_database_cpu(query, records, kSc, opt);
-      EXPECT_EQ(r.swar8_fallbacks, 1u)
-          << "policy " << static_cast<int>(policy) << ", " << threads << " threads";
+      EXPECT_EQ(r.swar8_fallbacks, leads_with_bytes(simd) ? 1u : 0u)
+          << "simd " << simd_label(simd) << ", " << threads << " threads";
       ASSERT_FALSE(r.hits.empty());
       EXPECT_EQ(r.hits[0].result.score, 300);
     }

@@ -40,15 +40,14 @@ std::vector<seq::Sequence> reconcile_queries() {
   return qs;
 }
 
-// CPU engine, every SIMD policy x thread count: scan.* counters must equal
+// CPU engine, every SIMD tier x thread count: scan.* counters must equal
 // the summed ScanResult fields.
 TEST(MetricsReconcile, CpuEngineAcrossPoliciesAndThreads) {
   const std::vector<seq::Sequence> recs = reconcile_records();
   const std::vector<seq::Sequence> queries = reconcile_queries();
 
-  for (const host::SimdPolicy policy :
-       {host::SimdPolicy::Auto, host::SimdPolicy::Scalar, host::SimdPolicy::Swar16,
-        host::SimdPolicy::Swar8}) {
+  const std::optional<core::SimdIsa> tiers[] = {std::nullopt, core::SimdIsa::Scalar};
+  for (const std::optional<core::SimdIsa> simd : tiers) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
       obs::Registry reg;
       std::uint64_t records = 0, cells = 0, fallbacks = 0, scans = 0;
@@ -56,7 +55,7 @@ TEST(MetricsReconcile, CpuEngineAcrossPoliciesAndThreads) {
         host::ScanOptions opt;
         opt.top_k = 5;
         opt.threads = threads;
-        opt.simd_policy = policy;
+        opt.simd = simd;
         opt.metrics = &reg;
         const host::ScanResult r =
             host::scan_database_cpu(q, recs, align::Scoring::paper_default(), opt);
@@ -67,10 +66,10 @@ TEST(MetricsReconcile, CpuEngineAcrossPoliciesAndThreads) {
       }
       const obs::Snapshot snap = reg.snapshot();
       const std::string ctx =
-          "policy=" + std::to_string(static_cast<int>(policy)) + " threads=" + std::to_string(threads);
+          "simd=" + test::simd_label(simd) + " threads=" + std::to_string(threads);
       EXPECT_EQ(snap.counter("scan.records"), records) << ctx;
       EXPECT_EQ(snap.counter("scan.cells"), cells) << ctx;
-      EXPECT_EQ(snap.counter("scan.swar8_fallbacks"), fallbacks) << ctx;
+      EXPECT_EQ(snap.counter("scan.simd.fallbacks"), fallbacks) << ctx;
       EXPECT_EQ(snap.counter("scan.scans"), scans) << ctx;
     }
   }

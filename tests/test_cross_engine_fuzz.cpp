@@ -35,6 +35,7 @@
 #include "host/scan_engine.hpp"
 #include "par/wavefront.hpp"
 #include "seq/random.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -145,7 +146,7 @@ INSTANTIATE_TEST_SUITE_P(Batches, CrossEngineFuzz, testing::Range(0, 8));
 // ---------------------------------------------------------------------------
 // Degenerate-input sweep: the inputs randomized fuzzing almost never draws —
 // empty and 1-residue sequences, single-letter and two-letter "alphabets",
-// all-same runs long enough to saturate 8-bit SWAR lanes. Every engine must
+// all-same runs long enough to saturate 8-bit lanes. Every engine must
 // still agree bit-for-bit with the quadratic oracle.
 // ---------------------------------------------------------------------------
 
@@ -306,12 +307,11 @@ TEST(CrossEngineDegenerate, Swar8SaturationBoundaryExact) {
   }
 }
 
-// The striped kernels must sit on EXACTLY the same saturation boundary as
-// swar8 — same predicate, "some true cell value > 255" — or the engine's
-// swar8_fallbacks accounting would depend on which 8-bit kernel ran. The
-// 8-bit attempt must succeed iff the swar8 attempt does, the ladder must
-// count exactly one fallback past the line, and every returned value must
-// be the oracle's.
+// The same boundary for the striped kernels: the 8-bit attempt must
+// succeed iff the true score (sw_linear) fits 255 — 255 itself included —
+// at every lane width, or the engine's swar8_fallbacks accounting would
+// depend on which 8-bit kernel ran; the ladder must count exactly one
+// fallback past the line, and every returned value must be the oracle's.
 TEST(CrossEngineDegenerate, StripedSaturationBoundaryExact) {
   struct Case {
     int match;
@@ -329,9 +329,8 @@ TEST(CrossEngineDegenerate, StripedSaturationBoundaryExact) {
     sc.gap = -c.match - 1;
     const seq::Sequence s = seq::Sequence::dna(repeat('A', c.len), "sat");
     const align::LocalScoreResult oracle = align::sw_best(align::sw_matrix(s, s, sc));
-
-    align::Antidiag8Workspace ws8;
-    const bool swar8_fits = align::sw_antidiag8_try(s.codes(), s.codes(), sc, ws8).has_value();
+    ASSERT_EQ(oracle.score, static_cast<align::Score>(c.match * static_cast<int>(c.len)));
+    const bool fits8 = align::sw_linear(s, s, sc).score <= 255;
 
     for (const unsigned lanes : striped_lane_widths()) {
       const std::string ctx = "match=" + std::to_string(c.match) +
@@ -340,8 +339,7 @@ TEST(CrossEngineDegenerate, StripedSaturationBoundaryExact) {
       align::StripedWorkspace ws;
       const std::optional<align::LocalScoreResult> attempt =
           align::sw_striped8_try(s.codes(), profile, ws);
-      EXPECT_EQ(attempt.has_value(), swar8_fits) << ctx;  // predicate parity with swar8
-      EXPECT_EQ(attempt.has_value(), oracle.score <= 255) << ctx;
+      EXPECT_EQ(attempt.has_value(), fits8) << ctx;  // predicate parity with sw_linear
       if (attempt.has_value()) {
         EXPECT_EQ(*attempt, oracle) << ctx;
       }
@@ -354,9 +352,9 @@ TEST(CrossEngineDegenerate, StripedSaturationBoundaryExact) {
 }
 
 // ---------------------------------------------------------------------------
-// Scan-level parity on the degenerate database: every SIMD policy, thread
+// Scan-level parity on the degenerate database: every SIMD tier, thread
 // count, and the accelerator engine must report identical hits, and the
-// Swar8 fallback count must equal exactly the number of records whose best
+// 8-bit fallback count must equal exactly the number of records whose best
 // score exceeds 255 — independent of threads.
 // ---------------------------------------------------------------------------
 
@@ -398,49 +396,36 @@ TEST(CrossEngineDegenerate, ScanParityAcrossPoliciesThreadsAndBoard) {
       if (align::sw_linear(rec, query, sc).score > 255) ++saturated;
     }
 
-    // What Auto resolves to depends on the machine and any SWR_SIMD
-    // override in the environment — mirror the engine's resolution so
-    // the expected fallback count is right under every CI matrix leg.
-    const core::SimdIsa auto_isa = core::auto_simd_isa();
-    const bool auto_leads_with_bytes = auto_isa == core::SimdIsa::Swar8 ||
-                                       auto_isa == core::SimdIsa::Sse41 ||
-                                       auto_isa == core::SimdIsa::Avx2;
-
-    for (const host::SimdPolicy policy :
-         {host::SimdPolicy::Auto, host::SimdPolicy::Scalar, host::SimdPolicy::Swar16,
-          host::SimdPolicy::Swar8, host::SimdPolicy::Sse41, host::SimdPolicy::Avx2}) {
+    for (const std::optional<core::SimdIsa> simd : test::kSimdRequests) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
         // The kernel shape joins the sweep: the inter-sequence kernel
         // (one record per 8-bit lane) must be output-identical to the
-        // striped shape for every policy and thread count, fallback
+        // striped shape for every tier and thread count, fallback
         // accounting included; where it cannot run it degrades to
         // striped, which keeps this sweep valid on every machine.
         for (const host::KernelShape shape :
              {host::KernelShape::Auto, host::KernelShape::Striped,
               host::KernelShape::InterSeq}) {
           host::ScanOptions opt = base;
-          opt.simd_policy = policy;
+          opt.simd = simd;
           opt.threads = threads;
           opt.kernel = shape;
           const host::ScanResult r = host::scan_database_cpu(query, records, sc, opt);
           const std::string ctx = "q=" + query.name() +
-                                  " policy=" + std::to_string(static_cast<int>(policy)) +
+                                  " simd=" + test::simd_label(simd) +
                                   " threads=" + std::to_string(threads) +
                                   " kernel=" + core::kernel_shape_name(shape);
           expect_same_scan_hits(reference, r, ctx);
           EXPECT_EQ(r.records_scanned, records.size()) << ctx;
           EXPECT_EQ(r.cell_updates, reference.cell_updates) << ctx;
-          // Swar8, Sse41, Avx2 lead with an 8-bit kernel (SWAR, striped
-          // or inter-sequence — identical saturation predicate), and an
-          // unsupported striped request degrades no lower than Swar8:
-          // exactly one lazy 16-bit re-run per saturating record,
-          // thread-, kernel- and shape-invariant. Auto counts only when
-          // it resolves to a byte-leading tier.
-          const bool leads_with_bytes =
-              policy == host::SimdPolicy::Swar8 || policy == host::SimdPolicy::Sse41 ||
-              policy == host::SimdPolicy::Avx2 ||
-              (policy == host::SimdPolicy::Auto && auto_leads_with_bytes);
-          EXPECT_EQ(r.swar8_fallbacks, leads_with_bytes ? saturated : 0u) << ctx;
+          // The vector tiers lead with an 8-bit kernel (striped or
+          // inter-sequence — identical saturation predicate): exactly one
+          // lazy 16-bit re-run per saturating record, thread-, kernel-
+          // and shape-invariant. The count follows the resolved tier: an
+          // unsupported striped request, an SWR_SIMD override of auto,
+          // or the scalar tier runs the exact scalar kernel and counts
+          // none.
+          EXPECT_EQ(r.swar8_fallbacks, test::leads_with_bytes(simd) ? saturated : 0u) << ctx;
         }
       }
     }

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string>
 
@@ -9,6 +10,7 @@
 #include <unistd.h>
 #endif
 
+#include "core/cpu_features.hpp"
 #include "seq/random.hpp"
 #include "seq/sequence.hpp"
 
@@ -25,6 +27,25 @@ inline std::string unique_leaf(const std::string& leaf) {
 #else
   return leaf;
 #endif
+}
+
+/// Every ScanOptions::simd request: auto (nullopt) and each tier. A tier
+/// the machine lacks degrades (one-time warning), so sweeps over this list
+/// run everywhere.
+inline constexpr std::optional<core::SimdIsa> kSimdRequests[] = {
+    std::nullopt, core::SimdIsa::Scalar, core::SimdIsa::Sse41, core::SimdIsa::Avx2};
+
+/// The `--simd` spelling of a request, for failure messages.
+inline std::string simd_label(std::optional<core::SimdIsa> simd) {
+  return simd.has_value() ? core::simd_isa_name(*simd) : "auto";
+}
+
+/// Whether a scan requesting `simd` runs an 8-bit kernel first on this
+/// host, and so counts swar8_fallbacks. It resolves the request the way
+/// the engine does (SWR_SIMD override, degrade of an unsupported tier):
+/// every vector tier leads with 8-bit lanes, scalar never does.
+inline bool leads_with_bytes(std::optional<core::SimdIsa> simd) {
+  return core::resolve_simd_isa(simd) != core::SimdIsa::Scalar;
 }
 
 /// Deterministic random DNA of length n.
