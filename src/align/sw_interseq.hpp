@@ -14,7 +14,9 @@
 // horizontal-gap dependency is just the carried register of the previous
 // column. The per-column substitution scores are gathered with one or two
 // pshufb table lookups (the per-lane residue codes are loop-invariant
-// across the columns of a step).
+// across the columns of a step; each advance call transposes them into
+// a tile of up to 64 rows so a step loads them as one vector). A row
+// step is vector work only.
 //
 // Lanes run different-length records, so the driver refills a lane the
 // moment its record retires: `sw_interseq_scan` pulls records through a
@@ -33,10 +35,16 @@
 //     record exceeds 255 — the same predicate as the 8-bit striped
 //     kernel — so the caller re-runs exactly those records one tier down
 //     and `swar8_fallbacks` stays bit-identical across every kernel shape
-//     and tier;
-//   * per-lane best tracking reproduces sw_linear's canonical
-//     (j, i)-lexicographic tie-break via the same rare-threshold-triggered
-//     scalar row rescan the striped kernels use, per lane.
+//     and tier. The test runs only on rows that can carry: a row's max
+//     exceeds the previous row's by at most max_sub8(), so a row where
+//     every unflagged lane's previous-row max is <= 255 - max_sub8()
+//     skips it and the flags still come out identical;
+//   * per-lane best tracking reproduces sw_linear's canonical tie-break
+//     (higher score, then smaller j, then smaller i). When a lane's row
+//     max reaches its best so far, the row's canonical maximum — the row
+//     max at the first column reaching it, found through the sweep's
+//     per-16-column block maxima — is folded once; fold_best is a max
+//     under a strict total order, so that equals folding the whole row.
 //
 // Availability mirrors sw_striped: compiled on x86 GCC/Clang only
 // (per-function target attributes; the binary stays portable), guarded by
@@ -101,6 +109,11 @@ class InterSeqProfile {
   /// (lo/hi pair) up to 31 residues, 0 beyond that (kernel unusable).
   [[nodiscard]] unsigned table_slots() const noexcept { return table_slots_; }
 
+  /// Largest positive substitution byte over every slot of every column
+  /// table. A row's max exceeds the previous row's by at most this, so a
+  /// lane whose previous-row max is <= 255 - max_sub8() cannot carry.
+  [[nodiscard]] std::uint8_t max_sub8() const noexcept { return max_sub8_; }
+
   /// Structurally usable: scheme fits 8 bits and the alphabet fits the
   /// lookup tables. Runtime ISA support is checked separately
   /// (sw_interseq_max_lanes()).
@@ -122,6 +135,7 @@ class InterSeqProfile {
   bool fits8_ = false;
   unsigned table_slots_ = 0;
   std::uint8_t gap8_ = 0;
+  std::uint8_t max_sub8_ = 0;
   std::vector<std::uint8_t> pos_, neg_;
 };
 
@@ -129,15 +143,22 @@ class InterSeqProfile {
 /// this size (the upper half idles at 16 lanes).
 inline constexpr unsigned kInterSeqMaxLanes = 32;
 
+/// Database rows one residue transpose covers.
+inline constexpr std::size_t kInterSeqTileRows = 64;
+
 /// Per-worker scratch + hot per-lane state for one in-flight lane batch.
 /// The kernel reads/writes these directly; the driver owns lifecycle
 /// (reset/refill). Reused across batches and scans — no per-record
 /// allocation.
 struct InterSeqWorkspace {
-  std::vector<std::uint8_t> h;  ///< (n+1) * lanes, column-major: h[j*L + l]
-  alignas(32) std::array<std::uint8_t, kInterSeqMaxLanes> codes{};   ///< per-step gather
-  alignas(32) std::array<std::uint8_t, kInterSeqMaxLanes> thresh{};  ///< rescan trigger floor
+  std::vector<std::uint8_t> h;     ///< (n+1) * lanes, column-major: h[j*L + l]
+  std::vector<std::uint8_t> bmax;  ///< current row's block maxima: bmax[b*L + l]
+  /// Residue codes of up to kInterSeqTileRows rows, transposed row-major
+  /// (tile[t*L + l]) so a row step loads all lanes' codes as one vector.
+  alignas(32) std::array<std::uint8_t, kInterSeqTileRows * kInterSeqMaxLanes> tile{};
+  alignas(32) std::array<std::uint8_t, kInterSeqMaxLanes> thresh{};  ///< tie-break trigger floor
   alignas(32) std::array<std::uint8_t, kInterSeqMaxLanes> ovf{};     ///< sticky overflow flags
+  alignas(32) std::array<std::uint8_t, kInterSeqMaxLanes> prev{};    ///< previous row's max
   std::array<const seq::Code*, kInterSeqMaxLanes> cur{};  ///< next residue (null = dead lane)
   std::array<const seq::Code*, kInterSeqMaxLanes> end{};
   std::array<std::uint64_t, kInterSeqMaxLanes> row{};  ///< record rows computed so far
@@ -150,8 +171,28 @@ struct InterSeqStats {
   std::uint64_t batches = 0;   ///< kernel advance calls
   std::uint64_t refills = 0;   ///< lane loads after the initial fill
   std::uint64_t fallbacks = 0; ///< lanes that saturated (result reported nullopt)
+  /// Row steps (one database row of every lane) where at least one lane's
+  /// row max reached its best and went through the canonical tie-break.
+  std::uint64_t tiebreak_rows = 0;
+  /// Lane rows that went through the tie-break. Depends only on each
+  /// record and the query, so it is invariant under lane width, lane
+  /// packing and thread count.
+  std::uint64_t tiebreak_lanes = 0;
+  /// Row steps that ran the exact sticky-XOR overflow test.
+  std::uint64_t overflow_checked_rows = 0;
   /// Advance calls by live-lane count (index = lanes holding a record).
   std::array<std::uint64_t, kInterSeqMaxLanes + 1> occupancy{};
+
+  InterSeqStats& operator+=(const InterSeqStats& o) noexcept {
+    batches += o.batches;
+    refills += o.refills;
+    fallbacks += o.fallbacks;
+    tiebreak_rows += o.tiebreak_rows;
+    tiebreak_lanes += o.tiebreak_lanes;
+    overflow_checked_rows += o.overflow_checked_rows;
+    for (std::size_t i = 0; i < occupancy.size(); ++i) occupancy[i] += o.occupancy[i];
+    return *this;
+  }
 };
 
 /// A record handed to the driver: `tag` is echoed back through the done

@@ -118,6 +118,9 @@ struct ScanMetrics {
   obs::Counter* interseq_refills = nullptr;
   obs::Counter* interseq_fallbacks = nullptr;
   obs::Counter* interseq_records = nullptr;
+  obs::Counter* interseq_tiebreak_rows = nullptr;
+  obs::Counter* interseq_tiebreak_lanes = nullptr;
+  obs::Counter* interseq_overflow_checked_rows = nullptr;
   obs::Histogram* interseq_occupancy = nullptr;
   obs::Histogram* worker_kernel_us = nullptr;
   // Seeded-filter handles, fetched only when that mode is active so an
@@ -166,6 +169,9 @@ struct ScanMetrics {
       interseq_refills = &reg->counter("scan.interseq.refills");
       interseq_fallbacks = &reg->counter("scan.interseq.fallbacks");
       interseq_records = &reg->counter("scan.interseq.records");
+      interseq_tiebreak_rows = &reg->counter("scan.interseq.tiebreak_rows");
+      interseq_tiebreak_lanes = &reg->counter("scan.interseq.tiebreak_lanes");
+      interseq_overflow_checked_rows = &reg->counter("scan.interseq.overflow_checked_rows");
       interseq_occupancy = &reg->histogram("scan.interseq.occupancy");
     }
     worker_kernel_us = &reg->histogram("scan.worker_kernel_us");
@@ -408,13 +414,7 @@ void scan_interseq(const RecordSource& src, const align::InterSeqProfile& prof,
     const align::LocalScoreResult best = in_lane.has_value() ? *in_lane : rerun_overflowed(rec, w);
     offer_hit(src, static_cast<std::size_t>(tag), best, opt, w);
   };
-  const align::InterSeqStats st = align::sw_interseq_scan(prof, w.iws, fetch, done);
-  w.istats.batches += st.batches;
-  w.istats.refills += st.refills;
-  w.istats.fallbacks += st.fallbacks;
-  for (std::size_t i = 0; i < w.istats.occupancy.size(); ++i) {
-    w.istats.occupancy[i] += st.occupancy[i];
-  }
+  w.istats += align::sw_interseq_scan(prof, w.iws, fetch, done);
 }
 
 // Folds the per-worker partials into one result. Deterministic merge:
@@ -461,23 +461,23 @@ void flush_scan_metrics(const ScanMetrics& metrics, const std::vector<Worker>& w
     std::uint64_t interseq = 0;
     for (const Worker& w : workers) {
       interseq += w.rec_interseq;
-      total.batches += w.istats.batches;
-      total.refills += w.istats.refills;
-      total.fallbacks += w.istats.fallbacks;
-      for (std::size_t i = 0; i < total.occupancy.size(); ++i) {
-        total.occupancy[i] += w.istats.occupancy[i];
-      }
+      total += w.istats;
     }
     if (total.batches != 0) metrics.interseq_batches->add(total.batches);
     if (total.refills != 0) metrics.interseq_refills->add(total.refills);
     if (total.fallbacks != 0) metrics.interseq_fallbacks->add(total.fallbacks);
     if (interseq != 0) metrics.interseq_records->add(interseq);
+    if (total.tiebreak_rows != 0) metrics.interseq_tiebreak_rows->add(total.tiebreak_rows);
+    if (total.tiebreak_lanes != 0) metrics.interseq_tiebreak_lanes->add(total.tiebreak_lanes);
+    if (total.overflow_checked_rows != 0) {
+      metrics.interseq_overflow_checked_rows->add(total.overflow_checked_rows);
+    }
     // One histogram sample per kernel advance, valued at its live-lane
     // count — the occupancy distribution the schedule is meant to keep
     // pinned at full width.
     for (std::size_t occ = 0; occ < total.occupancy.size(); ++occ) {
-      for (std::uint64_t k = 0; k < total.occupancy[occ]; ++k) {
-        metrics.interseq_occupancy->observe(occ);
+      if (total.occupancy[occ] != 0) {
+        metrics.interseq_occupancy->observe_n(occ, total.occupancy[occ]);
       }
     }
   }

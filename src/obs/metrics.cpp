@@ -1,5 +1,6 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace swr::obs {
@@ -21,6 +22,13 @@ double Histogram::quantile(double q) const noexcept {
   if (rank == 0) rank = 1;
   if (rank > n) rank = n;
 
+  // The bucket estimate can overshoot the data by up to a factor of 2;
+  // the exact extremes bound it. A racing observe may have bumped the
+  // buckets before min/max, so clamp only a consistent pair.
+  const double vmin = static_cast<double>(min_.load(std::memory_order_relaxed));
+  const double vmax = static_cast<double>(max_.load(std::memory_order_relaxed));
+  const auto clamped = [&](double v) { return vmin <= vmax ? std::clamp(v, vmin, vmax) : v; };
+
   std::uint64_t seen = 0;
   for (std::size_t b = 0; b < kBuckets; ++b) {
     const std::uint64_t c = buckets_[b].load(std::memory_order_relaxed);
@@ -29,13 +37,13 @@ double Histogram::quantile(double q) const noexcept {
       seen += c;
       continue;
     }
-    if (b == 0) return 0.0;
+    if (b == 0) return clamped(0.0);
     // Interpolate within [2^(b-1), 2^b) by the rank's position in the
     // bucket's count.
     const double lo = static_cast<double>(std::uint64_t{1} << (b - 1));
     const double hi = b >= 64 ? lo * 2.0 : static_cast<double>(std::uint64_t{1} << b);
     const double frac = static_cast<double>(rank - seen) / static_cast<double>(c);
-    return lo + (hi - lo) * frac;
+    return clamped(lo + (hi - lo) * frac);
   }
   return 0.0;  // unreachable when count() > 0, but races are benign
 }

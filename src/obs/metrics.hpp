@@ -16,11 +16,11 @@
 //     stays under the documented 2% bound (DESIGN.md §3e).
 //   * Cheap when enabled. Counter is sharded: per-thread slots on separate
 //     cache lines, so concurrent workers never bounce a line. Histograms
-//     use power-of-two buckets — observe() is a bit_width plus two relaxed
-//     fetch_adds.
-//   * Exact where it matters. Counter::value() and Histogram count/sum are
-//     exact (tests reconcile them against ScanResult totals); only the
-//     histogram quantiles interpolate within a bucket.
+//     use power-of-two buckets — observe() is a bit_width, three relaxed
+//     fetch_adds and the min/max loads (a CAS only on a new extreme).
+//   * Exact where it matters. Counter::value() and Histogram count/sum/
+//     min/max are exact (tests reconcile them against ScanResult totals);
+//     only the histogram quantiles interpolate within a bucket.
 //
 // Thread-safety: every mutation is lock-free on shared handles; Registry
 // lookups take a mutex (do them once per scan, not per record — handles
@@ -84,18 +84,30 @@ class Gauge {
 };
 
 /// Latency/size histogram with power-of-two buckets: bucket b holds values
-/// in [2^(b-1), 2^b), bucket 0 holds zero. count and sum are exact;
-/// quantile() finds the bucket where the cumulative count crosses the rank
-/// and interpolates linearly inside it — the classic HdrHistogram-style
-/// trade of one bit of relative precision for O(1) lock-free observes.
+/// in [2^(b-1), 2^b), bucket 0 holds zero. count, sum, min and max are
+/// exact; quantile() finds the bucket where the cumulative count crosses
+/// the rank, interpolates linearly inside it and clamps the estimate into
+/// [min, max] — the classic HdrHistogram-style trade of one bit of
+/// relative precision for O(1) lock-free observes.
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 65;  // 0 plus one per bit of uint64_t
 
-  void observe(std::uint64_t v) noexcept {
-    buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
+  void observe(std::uint64_t v) noexcept { observe_n(v, 1); }
+
+  /// `n` observations of the same value: count, sum and buckets end up
+  /// exactly as after n observe(v) calls.
+  void observe_n(std::uint64_t v, std::uint64_t n) noexcept {
+    if (n == 0) return;
+    buckets_[bucket_index(v)].fetch_add(n, std::memory_order_relaxed);
+    count_.fetch_add(n, std::memory_order_relaxed);
+    sum_.fetch_add(v * n, std::memory_order_relaxed);
+    std::uint64_t lo = min_.load(std::memory_order_relaxed);
+    while (v < lo && !min_.compare_exchange_weak(lo, v, std::memory_order_relaxed)) {
+    }
+    std::uint64_t hi = max_.load(std::memory_order_relaxed);
+    while (v > hi && !max_.compare_exchange_weak(hi, v, std::memory_order_relaxed)) {
+    }
   }
 
   /// Convenience for wall-clock stages: seconds -> whole microseconds.
@@ -108,8 +120,17 @@ class Histogram {
   }
   [[nodiscard]] std::uint64_t sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
 
+  /// Exact smallest and largest observed values; both 0 with no
+  /// observations.
+  [[nodiscard]] std::uint64_t min() const noexcept {
+    return count() == 0 ? 0 : min_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t max() const noexcept { return max_.load(std::memory_order_relaxed); }
+
   /// q in [0,1]; 0 with no observations. Exact for values that fall on
-  /// bucket boundaries, otherwise within a factor of 2 (interpolated).
+  /// bucket boundaries, otherwise within a factor of 2 (interpolated),
+  /// and always clamped into [min(), max()] — so a single sample's
+  /// quantiles are that sample.
   [[nodiscard]] double quantile(double q) const noexcept;
 
   /// Per-bucket counts, index = bucket_index. Racy-benign snapshot.
@@ -128,6 +149,8 @@ class Histogram {
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
+  std::atomic<std::uint64_t> min_{~std::uint64_t{0}};
+  std::atomic<std::uint64_t> max_{0};
 };
 
 /// One metric's state at snapshot time.

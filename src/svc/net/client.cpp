@@ -83,6 +83,9 @@ ClientResponse ScanClient::scan(const WireRequest& req, std::chrono::millisecond
         resp.raw_bytes.insert(resp.raw_bytes.end(), frame.raw.begin(), frame.raw.end());
         resp.done = std::move(*done);
         resp.ok = true;
+        // Callers keep responses; hand the frames back without the
+        // growth slack of the appends above.
+        resp.raw_bytes.shrink_to_fit();
         return resp;
       }
       case FrameType::Error: {

@@ -3,12 +3,14 @@
 // Exploits traffic skew: real serving load repeats the same queries, and
 // a repeated query against an unchanged database must produce the exact
 // same ranked hits — the deterministic-merge invariant guarantees it. So
-// the cache stores the *decoded* response (hits + trailer, request_id
-// zeroed) keyed by (query hash, options hash, store generation) and the
-// server re-encodes it under the caller's request_id. Because encoding is
-// field-deterministic, a warm hit is bit-identical on the wire to the
-// cold scan that populated it — the cache correctness suite asserts this
-// byte-for-byte.
+// the cache stores the response (hits + trailer, request_id zeroed) keyed
+// by (query hash, options hash, store generation) as its encoded wire
+// payloads, about two thirds of the memory the decoded structs took; a
+// lookup decodes it and the server re-encodes it under the caller's
+// request_id. Because
+// encoding is field-deterministic, a warm hit is bit-identical on the
+// wire to the cold scan that populated it — the cache correctness suite
+// asserts this byte-for-byte.
 //
 // Invalidation is structural: the store generation (content-addressed
 // stamp over the .swdb payload + header hashes) is part of the key, so a
@@ -80,21 +82,21 @@ class ResultCache {
 
   /// Inserts (or replaces) and evicts LRU entries until the byte bound
   /// holds. A response bigger than the whole bound is not cached.
-  void insert(const ResultKey& key, CachedResponse response);
+  void insert(const ResultKey& key, const CachedResponse& response);
 
   [[nodiscard]] std::size_t bytes() const;
   [[nodiscard]] std::size_t entries() const;
   [[nodiscard]] std::size_t max_bytes() const { return max_bytes_; }
 
-  /// Approximate footprint used for the byte bound — stable across calls
-  /// for the same response, so tests can reason about eviction exactly.
+  /// Bytes an entry holds for `r` (its encoded payloads plus a 4-byte
+  /// length each) — the size the byte bound counts, exact and stable
+  /// across calls, so tests can reason about eviction exactly.
   static std::size_t response_bytes(const CachedResponse& r);
 
  private:
   struct Node {
     ResultKey key;
-    CachedResponse response;
-    std::size_t bytes = 0;
+    std::vector<std::uint8_t> packed;
   };
 
   void evict_locked();

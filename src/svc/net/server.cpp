@@ -434,7 +434,7 @@ bool ScanServer::handle_request(Conn& conn, const WireRequest& req) {
   // Only complete, successful scans are replayable: a partial result
   // (cancel/deadline) or failure is true for *this* request only.
   if (resp.status == svc::QueryStatus::Done && resp.error.empty()) {
-    result_cache_.insert(key, std::move(wire));
+    result_cache_.insert(key, wire);
   }
   return true;
 }

@@ -57,7 +57,7 @@ TEST(Prescreen, SwarMatchesNaiveOnEveryDiagonal) {
 TEST(Prescreen, SwarMatchesNaiveAcrossSchemes) {
   const seq::Sequence q = test::random_dna(40, 33);
   const seq::Sequence rec = test::random_dna(64, 44);
-  for (const auto [match, mismatch] : {std::pair{1, -1}, {2, -3}, {5, -4}}) {
+  for (const auto& [match, mismatch] : {std::pair{1, -1}, {2, -3}, {5, -4}}) {
     Scoring sc;
     sc.match = match;
     sc.mismatch = mismatch;

@@ -1,7 +1,9 @@
 // Inter-sequence (record-per-lane) kernels: profile tables, bit-identity
-// vs sw_linear across batch shapes, lane-refill edge cases, and the exact
-// per-lane saturation predicate shared with the striped 8-bit tier and the
-// 8-bit anti-diagonal SWAR kernel.
+// vs sw_linear across batch shapes, lane-refill edge cases, tie-heavy
+// inputs, the exact per-lane saturation predicate shared with the striped
+// 8-bit tier and the 8-bit anti-diagonal SWAR kernel (at every position
+// of the crossing row relative to advance calls and refills), and the
+// kernel's work counters.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -20,6 +22,14 @@ using namespace swr;
 using namespace swr::align;
 
 const Scoring kSc = Scoring::paper_default();
+
+// +2 matches: the largest substitution byte is 2, so a row's max can jump
+// from 254 straight to 256.
+Scoring match2() {
+  Scoring sc;
+  sc.match = 2;
+  return sc;
+}
 
 std::vector<unsigned> supported_lane_widths() {
   std::vector<unsigned> widths;
@@ -145,8 +155,8 @@ TEST(InterSeqBatch, EmptyBatchAndEmptyQuery) {
 
 TEST(InterSeqBatch, CanonicalTieBreakAcrossRepeats) {
   // A periodic query against periodic records produces many equal-scoring
-  // cells; the per-lane rescan must keep the smallest-(j, i) cell exactly
-  // like sw_linear.
+  // cells; the per-lane tie-break must keep the smallest-(j, i) cell
+  // exactly like sw_linear.
   for (const unsigned lanes : supported_lane_widths()) {
     std::vector<seq::Sequence> records;
     for (std::size_t r = 0; r < 40; ++r) {
@@ -213,6 +223,150 @@ TEST(InterSeqBatch, SaturationBoundaryExactAndSwar8PredicateParity) {
   }
 }
 
+// A record and a query whose best local score is exactly `target`: the
+// record is the query itself, which scores the sum of its diagonal. Under
+// a uniform scheme with +2 matches an odd target gets one mismatch (-1)
+// in the middle; under BLOSUM62 (diagonal entries 4..11) the query is a
+// random head padded with A (4) and one residue carrying the remainder.
+std::pair<seq::Sequence, seq::Sequence> boundary_pair(Score target, const Scoring& sc,
+                                                      std::uint64_t seed) {
+  if (sc.matrix != nullptr) {
+    const seq::Sequence head = swr::test::random_protein(20, seed);
+    Score self = 0;
+    for (const seq::Code c : head.codes()) self += sc.substitution(c, c);
+    const Score rest = target - self;  // >= 34: the head scores at most 20 * 11
+    const std::size_t pad = static_cast<std::size_t>((rest - 4) / 4);
+    const char tail = "ARNP"[(rest - 4) % 4];  // diagonal 4, 5, 6, 7
+    seq::Sequence q = head;
+    q.append(seq::Sequence::protein(std::string(pad, 'A') + tail));
+    return {q, q};
+  }
+  if (target % sc.match == 0) {
+    const seq::Sequence q = swr::test::random_dna(static_cast<std::size_t>(target / sc.match), seed);
+    return {q, q};
+  }
+  const std::size_t len = static_cast<std::size_t>(target + 3) / 2;
+  const seq::Sequence q = swr::test::random_dna(len, seed);
+  std::string text = q.to_string();
+  text[len / 2] = text[len / 2] == 'A' ? 'C' : 'A';
+  return {q, seq::Sequence::dna(text)};
+}
+
+// Scores `lanes_feed[l]` through lane l in order (an empty list leaves the
+// lane dead) and checks every record against sw_linear. The feed decides
+// where advance calls end (the shortest live remainder) and where lanes
+// refill.
+void expect_lane_feed_matches_oracle(const std::vector<std::vector<seq::Sequence>>& lanes_feed,
+                                     const seq::Sequence& query, const Scoring& sc,
+                                     unsigned lanes, const std::string& what) {
+  const InterSeqProfile profile(query, sc, lanes);
+  ASSERT_TRUE(profile.usable()) << what;
+  std::vector<const seq::Sequence*> by_tag;
+  std::vector<std::size_t> next(lanes_feed.size(), 0);
+  std::vector<std::optional<LocalScoreResult>> out;
+  InterSeqWorkspace ws;
+  sw_interseq_scan(
+      profile, ws,
+      [&](unsigned lane) -> std::optional<InterSeqRecord> {
+        if (lane >= lanes_feed.size() || next[lane] >= lanes_feed[lane].size()) {
+          return std::nullopt;
+        }
+        by_tag.push_back(&lanes_feed[lane][next[lane]++]);
+        out.emplace_back();
+        return InterSeqRecord{by_tag.size() - 1, by_tag.back()->codes()};
+      },
+      [&](std::uint64_t tag, std::span<const seq::Code>,
+          const std::optional<LocalScoreResult>& result) { out[tag] = result; });
+  for (std::size_t t = 0; t < by_tag.size(); ++t) {
+    const LocalScoreResult oracle = sw_linear(*by_tag[t], query, sc);
+    if (oracle.score > 255) {
+      EXPECT_FALSE(out[t].has_value()) << what << " record " << t << " (score " << oracle.score
+                                       << ")";
+    } else {
+      ASSERT_TRUE(out[t].has_value()) << what << " record " << t;
+      EXPECT_EQ(*out[t], oracle) << what << " record " << t;
+    }
+  }
+}
+
+// Records scoring exactly 254..257 under +1 and +2 matches and BLOSUM62
+// (the 32-slot table). A companion of length k ends an advance call right
+// before the boundary record's row k + 1 and refills its lane there, for
+// every k in the last dozen rows, so the row where the score crosses 255
+// is also the first row of an advance call right after a refill. The
+// boundary record sits in the first or the last lane (the two pshufb
+// halves at 32 lanes), and either starts the scan or arrives by a refill.
+TEST(InterSeqBatch, SaturationBoundaryAtAdvanceAndRefillEdges) {
+  Scoring blosum;
+  blosum.matrix = &blosum62();
+  const std::pair<const char*, Scoring> schemes[] = {
+      {"match1", kSc}, {"match2", match2()}, {"blosum62", blosum}};
+  for (const unsigned lanes : supported_lane_widths()) {
+    for (const auto& scheme : schemes) {
+      const std::string name = scheme.first;
+      const Scoring& sc = scheme.second;
+      for (const Score target : {254, 255, 256, 257}) {
+        const auto [query, boundary] = boundary_pair(target, sc, 500 + target);
+        ASSERT_EQ(sw_linear(boundary, query, sc).score, target) << name;
+        const auto filler = [&](std::size_t len, std::uint64_t seed) {
+          return sc.matrix != nullptr ? swr::test::random_protein(len, seed)
+                                      : swr::test::random_dna(len, seed);
+        };
+        const std::size_t len = boundary.size();
+        for (std::size_t k = len - 12; k < len; ++k) {
+          for (const bool by_refill : {false, true}) {
+            for (const unsigned lane : {0u, lanes - 1}) {
+              std::vector<std::vector<seq::Sequence>> feed(lanes);
+              std::vector<seq::Sequence>& own = feed[lane];
+              std::vector<seq::Sequence>& other = feed[lane == 0 ? 1 : 0];
+              if (by_refill) {
+                own.push_back(filler(5, k));
+                other.push_back(filler(5, k + 1));
+              }
+              own.push_back(boundary);
+              other.push_back(filler(k, k + 2));
+              other.push_back(filler(20, k + 3));
+              expect_lane_feed_matches_oracle(
+                  feed, query, sc, lanes,
+                  name + " target " + std::to_string(target) + " lanes " +
+                      std::to_string(lanes) + " k " + std::to_string(k) +
+                      (by_refill ? " by refill" : "") + " lane " + std::to_string(lane));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Low-entropy records and queries make many equal-scoring cells per row;
+// the tie-break must pick sw_linear's canonical cell every time, and
+// long records cross the 8-bit ceiling on the way.
+TEST(InterSeqBatch, TieHeavyRandomizedParity) {
+  const std::string mixes[] = {"A", "AC", "AAAC"};
+  for (const unsigned lanes : supported_lane_widths()) {
+    for (const Scoring& sc : {kSc, match2()}) {
+      for (std::uint64_t trial = 0; trial < 6; ++trial) {
+        std::mt19937_64 rng(trial * 131 + lanes + static_cast<std::uint64_t>(sc.match));
+        const auto draw = [&](std::size_t max_len) {
+          const std::string& mix = mixes[rng() % 3];
+          std::string text(rng() % (max_len + 1), 'A');
+          for (char& c : text) c = mix[rng() % mix.size()];
+          return seq::Sequence::dna(text);
+        };
+        std::vector<seq::Sequence> records;
+        for (std::size_t r = 0; r < 40; ++r) records.push_back(draw(900));
+        seq::Sequence query = draw(600);
+        if (query.size() == 0) query = seq::Sequence::dna("A");
+        expect_batch_matches_oracle(records, query, sc, lanes,
+                                    "tie-heavy trial " + std::to_string(trial) + " match " +
+                                        std::to_string(sc.match) + " lanes " +
+                                        std::to_string(lanes));
+      }
+    }
+  }
+}
+
 TEST(InterSeqBatch, EveryLaneSaturates) {
   // A batch wider than the lane count where every record overflows: every
   // result must be absent and the fallback count must equal the batch.
@@ -260,6 +414,54 @@ TEST(InterSeqStatsAccounting, BatchesRefillsAndOccupancy) {
     EXPECT_EQ(stats.batches, advances);
     EXPECT_EQ(stats.batches, 3u);  // equal lengths: one advance per generation
   }
+}
+
+TEST(InterSeqStatsAccounting, TiebreakLanesPerRecordAndOverflowTestNearTheCeiling) {
+  const std::vector<unsigned> widths = supported_lane_widths();
+  if (widths.empty()) GTEST_SKIP() << "no interseq ISA on this host";
+  std::vector<seq::Sequence> records;
+  std::mt19937_64 lens(7);
+  std::uniform_int_distribution<std::size_t> len(0, 300);
+  for (std::size_t r = 0; r < 70; ++r) records.push_back(swr::test::random_dna(len(lens), 70 + r));
+  const seq::Sequence query = swr::test::random_dna(80, 71);
+  const InterSeqProfile profile(query, kSc, widths.front());
+  EXPECT_EQ(profile.max_sub8(), 1u);
+
+  // Random records stay far below 255 - max_sub8(): no row can carry, so
+  // the exact overflow test never runs. The tie-break count depends on
+  // each record alone, so lane width and packing cannot move it.
+  std::optional<std::uint64_t> tiebreak_lanes;
+  for (const unsigned lanes : widths) {
+    InterSeqStats stats;
+    expect_batch_matches_oracle(records, query, kSc, lanes, "counters", &stats);
+    EXPECT_EQ(stats.overflow_checked_rows, 0u) << "lanes " << lanes;
+    EXPECT_GT(stats.tiebreak_lanes, 0u) << "lanes " << lanes;
+    EXPECT_GE(stats.tiebreak_lanes, stats.tiebreak_rows) << "lanes " << lanes;
+    if (tiebreak_lanes.has_value()) {
+      EXPECT_EQ(stats.tiebreak_lanes, *tiebreak_lanes) << "lanes " << lanes;
+    }
+    tiebreak_lanes = stats.tiebreak_lanes;
+  }
+
+  // One record scoring 300 must be tested (and flagged) near the ceiling.
+  const seq::Sequence q300 = swr::test::random_dna(300, 72);
+  records.push_back(q300);
+  for (const unsigned lanes : widths) {
+    InterSeqStats stats;
+    expect_batch_matches_oracle(records, q300, kSc, lanes, "counters 300", &stats);
+    EXPECT_GT(stats.overflow_checked_rows, 0u) << "lanes " << lanes;
+    EXPECT_EQ(stats.fallbacks, 1u) << "lanes " << lanes;
+  }
+}
+
+TEST(InterSeqProfile, MaxSubIsTheLargestSubstitutionByte) {
+  const seq::Sequence dna = swr::test::random_dna(30, 93);
+  EXPECT_EQ(InterSeqProfile(dna, kSc, 16).max_sub8(), 1u);
+  EXPECT_EQ(InterSeqProfile(dna, match2(), 32).max_sub8(), 2u);
+  Scoring sc;
+  sc.matrix = &blosum62();
+  const seq::Sequence w = seq::Sequence::protein("AWA");
+  EXPECT_EQ(InterSeqProfile(w, sc, 16).max_sub8(), 11u);  // W-W
 }
 
 TEST(InterSeqBatch, UnavailableShapesReturnOuterNullopt) {

@@ -308,7 +308,9 @@ TEST(Striped, SaturationPredicateMatchesSwar8Exactly) {
       const auto got = sw_striped8_try(pair.a.codes(), p, ws);
       EXPECT_EQ(got.has_value(), !overflows)
           << "lanes=" << lanes << " score=" << ref.score;
-      if (got.has_value()) EXPECT_EQ(*got, ref);
+      if (got.has_value()) {
+        EXPECT_EQ(*got, ref);
+      }
     }
   }
 }

@@ -70,7 +70,9 @@ TEST(CpuFeatures, PortableTiersAlwaysSupported) { EXPECT_TRUE(cpu_supports(SimdI
 TEST(CpuFeatures, SupportIsMonotonicInWidth) {
   // A CPU with AVX2 always has SSE4.1; detection must agree, and must
   // never report a striped tier the binary has no code for.
-  if (cpu_supports(SimdIsa::Avx2)) EXPECT_TRUE(cpu_supports(SimdIsa::Sse41));
+  if (cpu_supports(SimdIsa::Avx2)) {
+    EXPECT_TRUE(cpu_supports(SimdIsa::Sse41));
+  }
   if (!swr::align::sw_striped_compiled()) {
     EXPECT_FALSE(cpu_supports(SimdIsa::Sse41));
     EXPECT_FALSE(cpu_supports(SimdIsa::Avx2));

@@ -337,6 +337,61 @@ TEST(ScanEngineKernelShape, InterseqFallbackCountExact) {
   }
 }
 
+// The kernel's work counters through the scan.interseq.* metrics on a
+// store: the tie-break count depends on each record alone, so thread
+// count and lane width (SSE4.1 16, AVX2 32) cannot move it, and the exact
+// overflow test runs only on rows that can carry — none while every score
+// stays far below 255 - max_sub, some once one record scores 300.
+TEST(ScanEngineKernelShape, InterseqWorkCountersOnAStore) {
+  if (!core::cpu_supports(core::SimdIsa::Sse41)) GTEST_SKIP() << "no interseq ISA on this host";
+  seq::RandomSequenceGenerator gen(5151);
+  const seq::Sequence query = gen.uniform(seq::dna(), 300, "q");
+  std::vector<seq::Sequence> records;
+  for (std::size_t r = 0; r < 80; ++r) {
+    records.push_back(gen.uniform(seq::dna(), 40 + (r * 37) % 300, "bg" + std::to_string(r)));
+  }
+  const auto counts = [&](const db::Store& store, std::size_t threads, core::SimdIsa simd) {
+    obs::Registry reg;
+    ScanOptions opt;
+    opt.threads = threads;
+    opt.simd = simd;
+    opt.kernel = KernelShape::InterSeq;
+    opt.metrics = &reg;
+    (void)scan_database_cpu(query, store, kSc, opt);
+    return std::pair{reg.counter("scan.interseq.tiebreak_lanes").value(),
+                     reg.counter("scan.interseq.overflow_checked_rows").value()};
+  };
+  for (const bool hot : {false, true}) {
+    if (hot) {
+      seq::Sequence rec = gen.uniform(seq::dna(), 30, "hot");
+      rec.append(query);
+      records.push_back(std::move(rec));
+    }
+    const std::string path =
+        testing::TempDir() + "/interseq_counters_" + (hot ? "hot" : "cold") + ".swdb";
+    db::build_store(records, path);
+    const db::Store store = db::Store::open(path);
+    std::optional<std::uint64_t> tiebreak_lanes;
+    for (const std::size_t threads : {1u, 3u}) {
+      for (const core::SimdIsa simd : {core::SimdIsa::Sse41, core::SimdIsa::Avx2}) {
+        const std::string what = std::string(hot ? "hot" : "cold") + " store, " +
+                                 std::to_string(threads) + " threads, " + simd_label(simd);
+        const auto [lanes_folded, checked_rows] = counts(store, threads, simd);
+        EXPECT_GT(lanes_folded, 0u) << what;
+        if (tiebreak_lanes.has_value()) {
+          EXPECT_EQ(lanes_folded, *tiebreak_lanes) << what;
+        }
+        tiebreak_lanes = lanes_folded;
+        if (hot) {
+          EXPECT_GT(checked_rows, 0u) << what;
+        } else {
+          EXPECT_EQ(checked_rows, 0u) << what;
+        }
+      }
+    }
+  }
+}
+
 TEST(ScanEngineKernelShape, ChunkScanParityAcrossShapes) {
   const RandomDb db(644);
   const RecordSource src(db.records);

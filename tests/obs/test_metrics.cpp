@@ -1,13 +1,14 @@
 // Unit tests for the observability primitives: sharded counters stay
-// exact under thread storms, histograms keep exact count/sum with
-// factor-of-2 quantiles, the Registry names metrics stably and rejects
-// kind collisions.
+// exact under thread storms, histograms keep exact count/sum/min/max with
+// factor-of-2 quantiles clamped into [min, max], the Registry names
+// metrics stably and rejects kind collisions.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -89,10 +90,48 @@ TEST(Histogram, QuantileWithinFactorOfTwo) {
   EXPECT_LE(h.quantile(0.9), h.quantile(0.99));
 }
 
+TEST(Histogram, ObserveNEqualsNObserves) {
+  Histogram batched;
+  Histogram looped;
+  const std::pair<std::uint64_t, std::uint64_t> samples[] = {{0, 3}, {7, 5}, {32, 1}, {41735, 2}};
+  for (const auto& [v, n] : samples) {
+    batched.observe_n(v, n);
+    for (std::uint64_t k = 0; k < n; ++k) looped.observe(v);
+  }
+  batched.observe_n(99, 0);  // no samples: changes nothing, not even max
+  EXPECT_EQ(batched.count(), looped.count());
+  EXPECT_EQ(batched.sum(), looped.sum());
+  EXPECT_EQ(batched.bucket_counts(), looped.bucket_counts());
+  EXPECT_EQ(batched.min(), 0u);
+  EXPECT_EQ(batched.max(), 41735u);
+  for (const double q : {0.5, 0.9, 0.99}) EXPECT_EQ(batched.quantile(q), looped.quantile(q));
+}
+
+TEST(Histogram, SingleSampleQuantilesAreTheSample) {
+  // One worker's scan.worker_kernel_us: the bucket estimate alone would
+  // report the bucket's top edge, 65536.
+  Histogram h;
+  h.observe(41735);
+  EXPECT_EQ(h.min(), 41735u);
+  EXPECT_EQ(h.max(), 41735u);
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) EXPECT_EQ(h.quantile(q), 41735.0) << q;
+}
+
+TEST(Histogram, QuantilesStayWithinMinAndMax) {
+  Histogram h;
+  for (std::uint64_t v = 300; v <= 310; ++v) h.observe(v);
+  for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+    EXPECT_GE(h.quantile(q), 300.0) << q;
+    EXPECT_LE(h.quantile(q), 310.0) << q;
+  }
+}
+
 TEST(Histogram, EmptyQuantileIsZero) {
   Histogram h;
   EXPECT_EQ(h.quantile(0.5), 0.0);
   EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.min(), 0u);
+  EXPECT_EQ(h.max(), 0u);
 }
 
 TEST(Histogram, ObserveSecondsConvertsToMicros) {
