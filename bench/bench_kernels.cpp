@@ -21,7 +21,6 @@
 #include "align/banded.hpp"
 #include "align/gotoh.hpp"
 #include "align/hirschberg.hpp"
-#include "align/local_linear.hpp"
 #include "align/nw.hpp"
 #include "align/sw_antidiag.hpp"
 #include "align/sw_antidiag8.hpp"
@@ -205,14 +204,14 @@ BENCHMARK(BM_PackedDnaRoundTrip);
 
 void BM_LocalAlignRetrieval(benchmark::State& state) {
   // Full §2.3 pipeline in software (forward + reverse + anchored +
-  // Hirschberg) on a planted hit.
+  // window retrieval) on a planted hit.
   const seq::Sequence a = make_dna(50'000, 18);
   seq::Sequence db = a.subsequence(0, 20'000);
   db.append(make_dna(100, 19));
   db.append(a.subsequence(20'000, 30'000));
   const seq::Sequence q = a.subsequence(30'000, 120);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(align::local_align_linear(db, q, kSc));
+    benchmark::DoNotOptimize(retrieve::local_align_linear(db, q, kSc));
   }
   report_cups(state, db.size(), q.size());
 }

@@ -1,6 +1,6 @@
 // alignment_retrieval: the complete §2.3 recipe on homologous genes —
-// accelerator passes for the coordinates, Hirschberg on the host for the
-// transcript, everything in linear space.
+// accelerator passes for the coordinates, banded window retrieval (or
+// Hirschberg) on the host for the transcript, everything in linear space.
 //
 // Usage: ./examples/alignment_retrieval [gene_len]
 //   default: 2000
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
               r.timing.transfer_seconds * 1e3,
               static_cast<unsigned long long>(r.bytes_to_board),
               static_cast<unsigned long long>(r.bytes_from_board));
-  std::printf("  host software: %.3f ms (anchored scan + Hirschberg)\n",
+  std::printf("  host software: %.3f ms (anchored scan + window retrieval)\n",
               r.timing.host_seconds * 1e3);
   std::printf("memory: linear end to end — no cell of the %zu x %zu matrix was ever stored.\n",
               pair.a.size(), pair.b.size());

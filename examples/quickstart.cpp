@@ -11,7 +11,6 @@
 // Build & run:  ./examples/quickstart
 #include <cstdio>
 
-#include "align/local_linear.hpp"
 #include "align/render.hpp"
 #include "align/sw_full.hpp"
 #include "core/accelerator.hpp"
@@ -54,7 +53,7 @@ int main() {
   // --- 4. Full retrieval through the host pipeline (paper §2.3) ----------
   host::HostPipeline pipe(acc, host::PciConfig{});
   const host::PipelineResult r = pipe.align(/*query=*/s, /*db=*/t);
-  std::printf("\nhost pipeline (forward pass -> reverse pass -> Hirschberg):\n");
+  std::printf("\nhost pipeline (forward pass -> reverse pass -> window retrieval):\n");
   std::printf("  alignment db[%zu..%zu] vs query[%zu..%zu], score %d\n", r.alignment.begin.i,
               r.alignment.end.i, r.alignment.begin.j, r.alignment.end.j, r.alignment.score);
   std::printf("  bytes to board: %llu, bytes back: %llu (the paper's 'few bytes over PCI')\n",

@@ -4,9 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "align/hirschberg.hpp"
-#include "align/sw_linear.hpp"
-
 namespace swr::align {
 
 LocalScoreResult anchored_best_end(const seq::Sequence& a, const seq::Sequence& b, Cell begin,
@@ -58,50 +55,49 @@ LocalScoreResult anchored_best_end(std::span<const seq::Code> a, std::span<const
   return best;
 }
 
-LocalAlignment local_align_linear(const seq::Sequence& a, const seq::Sequence& b, const Scoring& sc,
-                                  const ScorePassFn& pass) {
-  if (a.alphabet().id() != b.alphabet().id()) {
-    throw std::invalid_argument("local_align_linear: alphabet mismatch between sequences");
-  }
+LocalScoreResult anchored_best_end(std::span<const seq::Code> a, std::span<const seq::Code> b,
+                                   Cell begin, std::size_t end_limit_i, std::size_t end_limit_j,
+                                   const AffineScoring& sc) {
   sc.validate();
-
-  // Step 1: forward pass -> best score and an end cell.
-  const LocalScoreResult fwd = pass(a, b, sc);
-  LocalAlignment out;
-  out.score = fwd.score;
-  if (fwd.score <= 0) return out;  // empty alignment
-
-  // Step 2: reverse pass over the reversed prefixes ending at fwd.end.
-  const seq::Sequence ra = a.subsequence(0, fwd.end.i).reversed();
-  const seq::Sequence rb = b.subsequence(0, fwd.end.j).reversed();
-  const LocalScoreResult rev = pass(ra, rb, sc);
-  if (rev.score != fwd.score) {
-    throw std::logic_error("local_align_linear: reverse pass score disagrees with forward pass");
+  if (begin.i == 0 || begin.j == 0 || begin.i > end_limit_i || begin.j > end_limit_j ||
+      end_limit_i > a.size() || end_limit_j > b.size()) {
+    throw std::invalid_argument("anchored_best_end: bad window");
   }
-  const Cell begin{fwd.end.i - rev.end.i + 1, fwd.end.j - rev.end.j + 1};
+  // The linear scan's argument with Gotoh's layers: h = H row, ev =
+  // vertical-gap layer, the horizontal layer rides along the row in `f`.
+  const std::size_t w = end_limit_j - begin.j + 1;
+  std::vector<Score> h(w + 1, kNegInf);
+  std::vector<Score> ev(w + 1, kNegInf);
+  h[0] = 0;  // the anchor corner
 
-  // Step 3: the begin cell may belong to a co-optimal alignment other than
-  // the one ending at fwd.end; find the end that pairs with this begin.
-  const LocalScoreResult anchored = anchored_best_end(a, b, begin, fwd.end.i, fwd.end.j, sc);
-  if (anchored.score != fwd.score) {
-    throw std::logic_error("local_align_linear: anchored scan score disagrees with forward pass");
+  LocalScoreResult best;
+  best.score = kNegInf;
+  for (std::size_t i = begin.i; i <= end_limit_i; ++i) {
+    Score diag = h[0];
+    h[0] = kNegInf;  // only the very first row may leave the anchor corner
+    Score f = kNegInf;
+    Score left_h = kNegInf;
+    const seq::Code ai = a[i - 1];
+    for (std::size_t jj = 1; jj <= w; ++jj) {
+      const std::size_t j = begin.j + jj - 1;
+      const Score up_h = h[jj];
+      ev[jj] = std::max(ev[jj] == kNegInf ? kNegInf : ev[jj] + sc.gap_extend,
+                        up_h == kNegInf ? kNegInf : up_h + sc.gap_open + sc.gap_extend);
+      f = std::max(f == kNegInf ? kNegInf : f + sc.gap_extend,
+                   left_h == kNegInf ? kNegInf : left_h + sc.gap_open + sc.gap_extend);
+      Score v = diag == kNegInf ? kNegInf : diag + sc.substitution(ai, b[j - 1]);
+      v = std::max({v, ev[jj], f});
+      diag = up_h;
+      left_h = v;
+      h[jj] = v;
+      if (v > best.score ||
+          (v == best.score && v != kNegInf && tie_break_prefers(Cell{i, j}, best.end))) {
+        best.score = v;
+        best.end = Cell{i, j};
+      }
+    }
   }
-
-  // Step 4: the window [begin, anchored.end] is a global alignment problem.
-  const auto wa = a.codes().subspan(begin.i - 1, anchored.end.i - begin.i + 1);
-  const auto wb = b.codes().subspan(begin.j - 1, anchored.end.j - begin.j + 1);
-  out.begin = begin;
-  out.end = anchored.end;
-  out.cigar = hirschberg_cigar(wa, wb, sc);
-  return out;
-}
-
-LocalAlignment local_align_linear(const seq::Sequence& a, const seq::Sequence& b,
-                                  const Scoring& sc) {
-  return local_align_linear(a, b, sc,
-                            [](const seq::Sequence& x, const seq::Sequence& y, const Scoring& s) {
-                              return sw_linear(x, y, s);
-                            });
+  return best;
 }
 
 }  // namespace swr::align

@@ -1,21 +1,10 @@
-// Linear-space local alignment retrieval — the paper's §2.3 recipe.
-//
-// 1. Forward pass (the phase the FPGA accelerates): best score S and the
-//    cell where the best local alignment *ends*.
-// 2. Reverse pass over the reversed prefixes: the cell where an optimal
-//    local alignment *begins*.
-// 3. An anchored forward scan from that begin locates a matching end (the
-//    begin found in step 2 may belong to a different co-optimal alignment
-//    than the end found in step 1 — the scan re-pairs them consistently).
-// 4. The windowed problem is now global; Hirschberg retrieves the
-//    transcript in linear space.
-//
-// Peak memory is O(|a| + |b|) throughout — never the O(|a|*|b|) matrix.
-// The host pipeline (src/host) runs steps 1-2 on the accelerator model and
-// 3-4 on the CPU, exactly the hardware/software split the paper proposes.
+// The anchored re-pair step of the paper's §2.3 linear-space recipe: the
+// begin cell the reverse pass finds may belong to a different co-optimal
+// alignment than the forward pass's end, so an anchored scan from the
+// begin locates the end that pairs with it. retrieve::traceback_hit runs
+// the whole recipe for both gap models.
 #pragma once
 
-#include <functional>
 #include <span>
 
 #include "align/cigar.hpp"
@@ -23,21 +12,6 @@
 #include "seq/sequence.hpp"
 
 namespace swr::align {
-
-/// Pluggable engine for the two score+coordinate passes, so the same
-/// pipeline code runs on software SW (default) or on the accelerator
-/// facade. Receives (a, b, scoring); must honour the canonical tie-break.
-using ScorePassFn =
-    std::function<LocalScoreResult(const seq::Sequence&, const seq::Sequence&, const Scoring&)>;
-
-/// Full local alignment of a vs b in linear space.
-/// @throws std::invalid_argument on alphabet mismatch or invalid scoring.
-LocalAlignment local_align_linear(const seq::Sequence& a, const seq::Sequence& b,
-                                  const Scoring& sc);
-
-/// As above with a custom engine for the forward/reverse passes.
-LocalAlignment local_align_linear(const seq::Sequence& a, const seq::Sequence& b, const Scoring& sc,
-                                  const ScorePassFn& pass);
 
 /// Step-3 primitive, exposed for tests: best cell of any local alignment
 /// constrained to *start* at `begin` (1-based), searching the window up to
@@ -52,5 +26,10 @@ LocalScoreResult anchored_best_end(const seq::Sequence& a, const seq::Sequence& 
 LocalScoreResult anchored_best_end(std::span<const seq::Code> a, std::span<const seq::Code> b,
                                    Cell begin, std::size_t end_limit_i, std::size_t end_limit_j,
                                    const Scoring& sc);
+
+/// The affine (Gotoh) twin: two rows of O(window columns).
+LocalScoreResult anchored_best_end(std::span<const seq::Code> a, std::span<const seq::Code> b,
+                                   Cell begin, std::size_t end_limit_i, std::size_t end_limit_j,
+                                   const AffineScoring& sc);
 
 }  // namespace swr::align

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "align/gotoh.hpp"
-#include "align/local_linear.hpp"
 #include "align/result.hpp"
 
 namespace swr::align {
@@ -92,40 +91,44 @@ void mm_rec(Span a, Span b, Score tb, Score te, const AffineScoring& sc, Cigar& 
   }
 
   const std::size_t mid = m / 2;
-
-  // Forward half with tb; backward half (reversed) with te.
-  std::vector<Score> cc;
-  std::vector<Score> dd;
-  affine_rows(a.subspan(0, mid), b, tb, sc, cc, dd);
-
-  std::vector<seq::Code> ra(a.begin() + static_cast<std::ptrdiff_t>(mid), a.end());
-  std::reverse(ra.begin(), ra.end());
-  std::vector<seq::Code> rb(b.begin(), b.end());
-  std::reverse(rb.begin(), rb.end());
-  std::vector<Score> rr;
-  std::vector<Score> ss;
-  affine_rows(ra, rb, te, sc, rr, ss);
-
-  // rr[jr] aligns a[mid..m) to the last jr residues of b; map to a split
-  // after b[0..j): reverse index jr = n - j.
-  Score best = kNegInf;
   std::size_t best_j = 0;
   bool best_in_gap = false;
-  for (std::size_t j = 0; j <= n; ++j) {
-    const Score t1 = cc[j] + rr[n - j];
-    if (t1 > best) {
-      best = t1;
-      best_j = j;
-      best_in_gap = false;
-    }
-    const Score df = dd[j];
-    const Score sf = ss[n - j];
-    if (df != kNegInf && sf != kNegInf) {
-      const Score t2 = df + sf - sc.gap_open;  // the crossing gap opened once
-      if (t2 > best) {
-        best = t2;
+  {
+    // Scoped so the four rows and the reversed copies are freed BEFORE
+    // recursing (as in hirschberg_rec): live row storage stays 4 * (|b|+1)
+    // for the whole recursion instead of O(|b| log |a|).
+    // Forward half with tb; backward half (reversed) with te.
+    std::vector<Score> cc;
+    std::vector<Score> dd;
+    affine_rows(a.subspan(0, mid), b, tb, sc, cc, dd);
+
+    std::vector<seq::Code> ra(a.begin() + static_cast<std::ptrdiff_t>(mid), a.end());
+    std::reverse(ra.begin(), ra.end());
+    std::vector<seq::Code> rb(b.begin(), b.end());
+    std::reverse(rb.begin(), rb.end());
+    std::vector<Score> rr;
+    std::vector<Score> ss;
+    affine_rows(ra, rb, te, sc, rr, ss);
+
+    // rr[jr] aligns a[mid..m) to the last jr residues of b; map to a split
+    // after b[0..j): reverse index jr = n - j.
+    Score best = kNegInf;
+    for (std::size_t j = 0; j <= n; ++j) {
+      const Score t1 = cc[j] + rr[n - j];
+      if (t1 > best) {
+        best = t1;
         best_j = j;
-        best_in_gap = true;
+        best_in_gap = false;
+      }
+      const Score df = dd[j];
+      const Score sf = ss[n - j];
+      if (df != kNegInf && sf != kNegInf) {
+        const Score t2 = df + sf - sc.gap_open;  // the crossing gap opened once
+        if (t2 > best) {
+          best = t2;
+          best_j = j;
+          best_in_gap = true;
+        }
       }
     }
   }
@@ -161,89 +164,6 @@ LocalAlignment myers_miller_align(const seq::Sequence& a, const seq::Sequence& b
   out.begin = (a.empty() && b.empty()) ? Cell{0, 0} : Cell{1, 1};
   out.end = Cell{a.size(), b.size()};
   out.score = gotoh_global_score(a.codes(), b.codes(), sc);
-  return out;
-}
-
-LocalAlignment gotoh_local_align_linear(const seq::Sequence& a, const seq::Sequence& b,
-                                        const AffineScoring& sc) {
-  return gotoh_local_align_linear(
-      a, b, sc, [](const seq::Sequence& x, const seq::Sequence& y, const AffineScoring& s) {
-        return gotoh_local_score(x.codes(), y.codes(), s);
-      });
-}
-
-LocalAlignment gotoh_local_align_linear(const seq::Sequence& a, const seq::Sequence& b,
-                                        const AffineScoring& sc, const AffineScorePassFn& pass) {
-  if (a.alphabet().id() != b.alphabet().id()) {
-    throw std::invalid_argument("gotoh_local_align_linear: alphabet mismatch");
-  }
-  sc.validate();
-
-  // Forward pass: best score + end cell (what the affine accelerator
-  // emits).
-  const LocalScoreResult fwd = pass(a, b, sc);
-  LocalAlignment out;
-  out.score = fwd.score;
-  if (fwd.score <= 0) return out;
-
-  // Reverse pass on the reversed prefixes: the begin cell.
-  const seq::Sequence ra_seq = a.subsequence(0, fwd.end.i).reversed();
-  const seq::Sequence rb_seq = b.subsequence(0, fwd.end.j).reversed();
-  const LocalScoreResult rev = pass(ra_seq, rb_seq, sc);
-  if (rev.score != fwd.score) {
-    throw std::logic_error("gotoh_local_align_linear: reverse pass disagrees with forward");
-  }
-  const Cell begin{fwd.end.i - rev.end.i + 1, fwd.end.j - rev.end.j + 1};
-
-  // Anchored re-pair: local Gotoh *restricted to start at begin* — run the
-  // affine DP over the window without the zero-restart, anchored at the
-  // begin corner, and take the argmax (same argument as the linear-gap
-  // case; see local_linear.cpp).
-  const std::size_t rows = fwd.end.i - begin.i + 1;
-  const std::size_t cols = fwd.end.j - begin.j + 1;
-  const auto wa = a.codes().subspan(begin.i - 1, rows);
-  const auto wb = b.codes().subspan(begin.j - 1, cols);
-  LocalScoreResult anch;
-  anch.score = kNegInf;
-  {
-    std::vector<Score> h(cols + 1, kNegInf);
-    std::vector<Score> ev(cols + 1, kNegInf);
-    h[0] = 0;
-    for (std::size_t i = 1; i <= rows; ++i) {
-      Score diag = h[0];
-      h[0] = kNegInf;
-      Score f = kNegInf;
-      Score left_h = kNegInf;
-      const seq::Code ai = wa[i - 1];
-      for (std::size_t j = 1; j <= cols; ++j) {
-        const Score up_h = h[j];
-        ev[j] = std::max(ev[j] == kNegInf ? kNegInf : ev[j] + sc.gap_extend,
-                         up_h == kNegInf ? kNegInf
-                                         : up_h + sc.gap_open + sc.gap_extend);
-        f = std::max(f == kNegInf ? kNegInf : f + sc.gap_extend,
-                     left_h == kNegInf ? kNegInf : left_h + sc.gap_open + sc.gap_extend);
-        Score v = diag == kNegInf ? kNegInf : diag + sc.substitution(ai, wb[j - 1]);
-        v = std::max({v, ev[j], f});
-        diag = up_h;
-        left_h = v;
-        h[j] = v;
-        if (v > anch.score ||
-            (v == anch.score && v != kNegInf &&
-             tie_break_prefers(Cell{begin.i + i - 1, begin.j + j - 1}, anch.end))) {
-          anch.score = v;
-          anch.end = Cell{begin.i + i - 1, begin.j + j - 1};
-        }
-      }
-    }
-  }
-  if (anch.score != fwd.score) {
-    throw std::logic_error("gotoh_local_align_linear: anchored scan disagrees with forward");
-  }
-
-  out.begin = begin;
-  out.end = anch.end;
-  out.cigar = myers_miller_cigar(a.codes().subspan(begin.i - 1, anch.end.i - begin.i + 1),
-                                 b.codes().subspan(begin.j - 1, anch.end.j - begin.j + 1), sc);
   return out;
 }
 

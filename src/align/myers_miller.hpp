@@ -9,13 +9,13 @@
 // bottom boundary of each subproblem (zero when the parent split inside a
 // running gap).
 //
-// This is the retrieval engine for the affine accelerator path: the
-// AffinePe array produces score+coordinates, this produces the transcript
-// — both in linear space, completing the §2.3 recipe for the [2]/[32]
-// gap model.
+// This is the window step of the affine §2.3 recipe: the AffinePe array
+// (or gotoh_local_score) produces score+coordinates, and
+// retrieve::traceback_hit's affine overload re-pairs the window and calls
+// myers_miller_cigar for the transcript — both in linear space, for the
+// [2]/[32] gap model.
 #pragma once
 
-#include <functional>
 #include <span>
 
 #include "align/cigar.hpp"
@@ -33,22 +33,5 @@ Cigar myers_miller_cigar(std::span<const seq::Code> a, std::span<const seq::Code
 /// @throws std::invalid_argument on alphabet mismatch.
 LocalAlignment myers_miller_align(const seq::Sequence& a, const seq::Sequence& b,
                                   const AffineScoring& sc);
-
-/// Affine *local* alignment in linear space: forward/reverse Gotoh passes
-/// for the coordinates (the affine accelerator's job), then Myers-Miller
-/// on the window. The affine twin of local_align_linear.
-LocalAlignment gotoh_local_align_linear(const seq::Sequence& a, const seq::Sequence& b,
-                                        const AffineScoring& sc);
-
-/// Pluggable engine for the two affine score+coordinate passes — the hook
-/// the AffineHostPipeline uses to run them on the AffineAccelerator.
-using AffineScorePassFn = std::function<LocalScoreResult(const seq::Sequence&,
-                                                         const seq::Sequence&,
-                                                         const AffineScoring&)>;
-
-/// As above with a custom pass engine (must honour the canonical
-/// tie-break, as the hardware does).
-LocalAlignment gotoh_local_align_linear(const seq::Sequence& a, const seq::Sequence& b,
-                                        const AffineScoring& sc, const AffineScorePassFn& pass);
 
 }  // namespace swr::align

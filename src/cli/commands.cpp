@@ -11,7 +11,6 @@
 #include "align/evalue.hpp"
 #include "align/fitting.hpp"
 #include "align/hirschberg.hpp"
-#include "align/local_linear.hpp"
 #include "align/myers_miller.hpp"
 #include "align/near_best.hpp"
 #include "align/nw.hpp"
@@ -27,11 +26,13 @@
 #include "db/store.hpp"
 #include "host/batch.hpp"
 #include "host/fleet_scan.hpp"
+#include "host/pipeline.hpp"
 #include "host/scan_engine.hpp"
 #include "hw/sched.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "retrieve/traceback.hpp"
 #include "seq/codon.hpp"
 #include "seq/fasta.hpp"
 #include "seq/fastq.hpp"
@@ -89,6 +90,19 @@ align::AffineScoring affine_scoring_from(const ArgParser& args, const seq::Alpha
   return sc;
 }
 
+// Local mode of `swr align`, either gap model: software passes, or the
+// accelerator model's passes through the host pipeline (a = database rows,
+// b = query columns). Both come out of retrieve::traceback_hit.
+template <typename Pe>
+align::LocalAlignment local_alignment(const seq::Sequence& a, const seq::Sequence& b,
+                                      const typename core::BasicAccelerator<Pe>::Scoring& sc,
+                                      bool accel, std::size_t pes) {
+  if (!accel) return retrieve::local_align_linear(a, b, sc);
+  core::BasicAccelerator<Pe> acc(core::xc2vp70(), pes, sc);
+  host::BasicHostPipeline<Pe> pipe(acc, host::PciConfig{});
+  return pipe.align(/*query=*/b, /*db=*/a).alignment;
+}
+
 int cmd_align(const std::vector<std::string>& argv, std::ostream& out) {
   ArgParser args;
   args.option("mode", "local")
@@ -110,9 +124,13 @@ int cmd_align(const std::vector<std::string>& argv, std::ostream& out) {
   if (mode != "local" && mode != "global" && mode != "fitting") {
     throw ArgError("unknown mode '" + mode + "' (local|global|fitting)");
   }
-  const std::string engine_opt = args.get("engine");
-  if (engine_opt != "sw" && engine_opt != "accel") {
-    throw ArgError("unknown engine '" + engine_opt + "' (sw|accel)");
+  const std::string engine = args.get("engine");
+  if (engine != "sw" && engine != "accel") {
+    throw ArgError("unknown engine '" + engine + "' (sw|accel)");
+  }
+  const bool accel = engine == "accel";
+  if (accel && mode != "local") {
+    throw ArgError("--engine accel supports local mode only (the array computes local scores)");
   }
   const seq::Alphabet& ab = alphabet_by_name(args.get("alphabet"));
   const bool affine = args.has("affine");
@@ -126,47 +144,21 @@ int cmd_align(const std::vector<std::string>& argv, std::ostream& out) {
   const seq::Sequence b = first_record(args.positionals()[1], ab);
 
   align::LocalAlignment al;
-  if (affine) {
-    const align::AffineScoring asc = affine_scoring_from(args, ab);
-    al = (mode == "local") ? align::gotoh_local_align_linear(a, b, asc)
-                           : align::myers_miller_align(a, b, asc);
-    out << "a: " << a.name() << " (" << a.size() << " residues)\n";
-    out << "b: " << b.name() << " (" << b.size() << " residues)\n";
-    out << "mode: " << mode << " (affine)  score: " << al.score << "\n";
-    if (!al.cigar.empty()) {
-      out << "a[" << al.begin.i << ".." << al.end.i << "]  b[" << al.begin.j << ".." << al.end.j
-          << "]  identity " << static_cast<int>(align::cigar_identity(al.cigar) * 100.0)
-          << "%\n";
-      out << "cigar: " << al.cigar.to_string() << "\n";
-      out << align::format_alignment(al.cigar, a, b, al.begin);
-    } else {
-      out << "(empty alignment)\n";
-    }
-    return 0;
-  }
-  const align::Scoring sc = scoring_from(args, ab);
   if (mode == "local") {
-    const std::string engine = engine_opt;
-    if (engine == "accel") {
-      core::SmithWatermanAccelerator acc(core::xc2vp70(),
-                                         static_cast<std::size_t>(args.get_int("pes")), sc);
-      const align::ScorePassFn pass = [&acc](const seq::Sequence& rows, const seq::Sequence& cols,
-                                             const align::Scoring&) {
-        return acc.run(cols, rows).best;
-      };
-      al = align::local_align_linear(a, b, sc, pass);
-    } else {
-      al = align::local_align_linear(a, b, sc);
-    }
+    const std::size_t pes = accel ? static_cast<std::size_t>(args.get_int("pes")) : 0;
+    al = affine ? local_alignment<core::AffinePe>(a, b, affine_scoring_from(args, ab), accel, pes)
+                : local_alignment<core::ScorePe>(a, b, scoring_from(args, ab), accel, pes);
+  } else if (affine) {
+    al = align::myers_miller_align(a, b, affine_scoring_from(args, ab));
   } else if (mode == "global") {
-    al = align::hirschberg_align(a, b, sc);
+    al = align::hirschberg_align(a, b, scoring_from(args, ab));
   } else {
-    al = align::fitting_align(a, b, sc);
+    al = align::fitting_align(a, b, scoring_from(args, ab));
   }
 
   out << "a: " << a.name() << " (" << a.size() << " residues)\n";
   out << "b: " << b.name() << " (" << b.size() << " residues)\n";
-  out << "mode: " << mode << "  score: " << al.score << "\n";
+  out << "mode: " << mode << (affine ? " (affine)" : "") << "  score: " << al.score << "\n";
   if (!al.cigar.empty()) {
     out << "a[" << al.begin.i << ".." << al.end.i << "]  b[" << al.begin.j << ".." << al.end.j
         << "]  identity " << static_cast<int>(align::cigar_identity(al.cigar) * 100.0) << "%\n";
@@ -183,6 +175,7 @@ int cmd_align(const std::vector<std::string>& argv, std::ostream& out) {
     if ((a.size() + 1) * (b.size() + 1) > kMatrixCellCap) {
       throw ArgError("--matrix needs small inputs (at most ~100x100 residues)");
     }
+    const align::Scoring sc = scoring_from(args, ab);
     const align::SimilarityMatrix m = align::sw_matrix(a, b, sc);
     out << align::render_matrix_with_arrows(m, a, b, sc, al.cigar.empty() ? nullptr : &al);
   }

@@ -2,10 +2,9 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <vector>
 
-#include "align/hirschberg.hpp"
-#include "align/local_linear.hpp"
-#include "align/myers_miller.hpp"
+#include "retrieve/traceback.hpp"
 
 namespace swr::host {
 namespace {
@@ -20,14 +19,16 @@ constexpr std::size_t kResultBytes = 20;
 
 }  // namespace
 
-HostPipeline::HostPipeline(core::SmithWatermanAccelerator& accelerator, const PciConfig& pci)
+template <typename Pe>
+BasicHostPipeline<Pe>::BasicHostPipeline(core::BasicAccelerator<Pe>& accelerator,
+                                         const PciConfig& pci)
     : acc_(accelerator), pci_(pci) {}
 
-PipelineResult HostPipeline::align(const seq::Sequence& query, const seq::Sequence& db) {
+template <typename Pe>
+PipelineResult BasicHostPipeline<Pe>::align(const seq::Sequence& query, const seq::Sequence& db) {
   if (query.alphabet().id() != db.alphabet().id()) {
     throw std::invalid_argument("HostPipeline::align: alphabet mismatch");
   }
-  const align::Scoring& sc = acc_.controller().array().scoring();
 
   PipelineResult out;
 
@@ -37,23 +38,22 @@ PipelineResult HostPipeline::align(const seq::Sequence& query, const seq::Sequen
   out.timing.transfer_seconds += pci_.transfer(query.size());
   out.timing.transfer_seconds += pci_.transfer(db.size());
 
-  // Build the alignment with the shared §2.3 pipeline; the accelerator
-  // provides the two score+coordinate passes. local_align_linear works on
-  // (a=rows, b=cols); our convention is rows = database, cols = query.
+  // The accelerator provides the two score+coordinate passes of the shared
+  // §2.3 core, which works on (rows, cols); our convention is rows =
+  // database, cols = query.
   bool forward_done = false;
   double sim_wall_seconds = 0.0;  // wall time spent *simulating* the board
-  const align::ScorePassFn pass = [&](const seq::Sequence& rows, const seq::Sequence& cols,
-                                      const align::Scoring&) {
+  const seq::Alphabet& ab = query.alphabet();
+  const retrieve::ScorePass pass = [&](std::span<const seq::Code> rows,
+                                       std::span<const seq::Code> cols) {
     const auto p0 = std::chrono::steady_clock::now();
-    const core::JobResult job = acc_.run(/*query=*/cols, /*db=*/rows);
+    const core::JobResult job =
+        acc_.run(/*query=*/seq::Sequence(ab, std::vector<seq::Code>(cols.begin(), cols.end())),
+                 /*db=*/seq::Sequence(ab, std::vector<seq::Code>(rows.begin(), rows.end())));
     sim_wall_seconds += seconds_since(p0);
     out.timing.fpga_seconds += job.seconds;
-    if (!forward_done) {
-      out.forward_stats = job.stats;
-      forward_done = true;
-    } else {
-      out.reverse_stats = job.stats;
-    }
+    (forward_done ? out.reverse_stats : out.forward_stats) = job.stats;
+    forward_done = true;
     // Each pass ships its result record back to the host.
     out.bytes_from_board += kResultBytes;
     out.timing.transfer_seconds += pci_.transfer(kResultBytes, BusDirection::FromBoard);
@@ -61,51 +61,15 @@ PipelineResult HostPipeline::align(const seq::Sequence& query, const seq::Sequen
   };
 
   const auto t0 = std::chrono::steady_clock::now();
-  out.alignment = align::local_align_linear(db, query, sc, pass);
-  // Host CPU seconds = measured wall time of the anchored scan +
-  // Hirschberg; the wall time burnt *simulating* the board is excluded
+  out.alignment = retrieve::local_align_linear(db, query, acc_.scoring(), pass);
+  // Host CPU seconds = measured wall time of the anchored scan + window
+  // retrieval; the wall time burnt *simulating* the board is excluded
   // (the board contributes its modelled fpga_seconds instead).
   out.timing.host_seconds = seconds_since(t0) - sim_wall_seconds;
   return out;
 }
 
-AffineHostPipeline::AffineHostPipeline(core::AffineAccelerator& accelerator, const PciConfig& pci)
-    : acc_(accelerator), pci_(pci) {}
-
-PipelineResult AffineHostPipeline::align(const seq::Sequence& query, const seq::Sequence& db) {
-  if (query.alphabet().id() != db.alphabet().id()) {
-    throw std::invalid_argument("AffineHostPipeline::align: alphabet mismatch");
-  }
-  const align::AffineScoring& sc = acc_.controller().array().scoring();
-
-  PipelineResult out;
-  out.bytes_to_board = query.size() + db.size();
-  out.timing.transfer_seconds += pci_.transfer(query.size());
-  out.timing.transfer_seconds += pci_.transfer(db.size());
-
-  bool forward_done = false;
-  double sim_wall_seconds = 0.0;
-  const align::AffineScorePassFn pass =
-      [&](const seq::Sequence& rows, const seq::Sequence& cols, const align::AffineScoring&) {
-        const auto p0 = std::chrono::steady_clock::now();
-        const core::JobResult job = acc_.run(/*query=*/cols, /*db=*/rows);
-        sim_wall_seconds += seconds_since(p0);
-        out.timing.fpga_seconds += job.seconds;
-        if (!forward_done) {
-          out.forward_stats = job.stats;
-          forward_done = true;
-        } else {
-          out.reverse_stats = job.stats;
-        }
-        out.bytes_from_board += kResultBytes;
-        out.timing.transfer_seconds += pci_.transfer(kResultBytes, BusDirection::FromBoard);
-        return job.best;
-      };
-
-  const auto t0 = std::chrono::steady_clock::now();
-  out.alignment = align::gotoh_local_align_linear(db, query, sc, pass);
-  out.timing.host_seconds = seconds_since(t0) - sim_wall_seconds;
-  return out;
-}
+template class BasicHostPipeline<core::ScorePe>;
+template class BasicHostPipeline<core::AffinePe>;
 
 }  // namespace swr::host

@@ -4,8 +4,11 @@
 //   board: forward pass  → best score + END coordinates    (accelerated)
 //   board: reverse pass  → BEGIN coordinates               (accelerated)
 //   board ──PCI──▶ host: a few bytes of score + coordinates
-//   host:  anchored re-pair + Hirschberg on the window     (software, §2.3)
+//   host:  anchored re-pair + window retrieval + replay    (software, §2.3)
 //   result: the actual optimal local alignment, linear space end to end.
+//
+// The host half is retrieve::local_align_linear with the accelerator as
+// its score pass, for either PE type.
 //
 // Timing is split three ways — modelled FPGA seconds (verified cycle
 // counts at the synthesized clock), modelled PCI seconds, and *measured*
@@ -26,7 +29,7 @@ namespace swr::host {
 struct PipelineTiming {
   double fpga_seconds = 0.0;      ///< both accelerator passes, modelled
   double transfer_seconds = 0.0;  ///< PCI in + out, modelled
-  double host_seconds = 0.0;      ///< anchored scan + Hirschberg, measured
+  double host_seconds = 0.0;      ///< anchored scan + window retrieval, measured
 
   [[nodiscard]] double total() const noexcept {
     return fpga_seconds + transfer_seconds + host_seconds;
@@ -43,11 +46,12 @@ struct PipelineResult {
   std::uint64_t bytes_from_board = 0;
 };
 
-/// Drives a SmithWatermanAccelerator through the complete §2.3 recipe.
-class HostPipeline {
+/// Drives a BasicAccelerator<Pe> through the complete §2.3 recipe.
+template <typename Pe>
+class BasicHostPipeline {
  public:
   /// The pipeline borrows the accelerator (one job at a time).
-  HostPipeline(core::SmithWatermanAccelerator& accelerator, const PciConfig& pci);
+  BasicHostPipeline(core::BasicAccelerator<Pe>& accelerator, const PciConfig& pci);
 
   /// Aligns `query` against `db`, returning the optimal local alignment.
   /// @throws std::invalid_argument on alphabet mismatch.
@@ -56,25 +60,14 @@ class HostPipeline {
   [[nodiscard]] const PciModel& pci() const noexcept { return pci_; }
 
  private:
-  core::SmithWatermanAccelerator& acc_;
+  core::BasicAccelerator<Pe>& acc_;
   PciModel pci_;
 };
 
+/// The paper's pipeline: linear gaps.
+using HostPipeline = BasicHostPipeline<core::ScorePe>;
 /// The affine-gap twin: AffineAccelerator passes for the coordinates
-/// ([2]/[32]'s gap model with this paper's Bs/Cl/Bc tracking), Myers &
-/// Miller [25] on the host for the transcript — linear space end to end.
-class AffineHostPipeline {
- public:
-  AffineHostPipeline(core::AffineAccelerator& accelerator, const PciConfig& pci);
-
-  /// @throws std::invalid_argument on alphabet mismatch.
-  PipelineResult align(const seq::Sequence& query, const seq::Sequence& db);
-
-  [[nodiscard]] const PciModel& pci() const noexcept { return pci_; }
-
- private:
-  core::AffineAccelerator& acc_;
-  PciModel pci_;
-};
+/// ([2]/[32]'s gap model with this paper's Bs/Cl/Bc tracking).
+using AffineHostPipeline = BasicHostPipeline<core::AffinePe>;
 
 }  // namespace swr::host

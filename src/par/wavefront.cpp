@@ -97,17 +97,22 @@ void WavefrontConfig::validate() const {
 
 align::LocalScoreResult wavefront_sw(const seq::Sequence& a, const seq::Sequence& b,
                                      const align::Scoring& sc, const WavefrontConfig& cfg) {
-  cfg.validate();
-  sc.validate();
   if (a.alphabet().id() != b.alphabet().id()) {
     throw std::invalid_argument("wavefront_sw: alphabet mismatch between sequences");
   }
+  return wavefront_sw(a.codes(), b.codes(), sc, cfg);
+}
+
+align::LocalScoreResult wavefront_sw(std::span<const seq::Code> a, std::span<const seq::Code> b,
+                                     const align::Scoring& sc, const WavefrontConfig& cfg) {
+  cfg.validate();
+  sc.validate();
   LocalScoreResult global;
   if (a.empty() || b.empty()) return global;
 
   WavefrontRun run;
-  run.a = a.codes();
-  run.b = b.codes();
+  run.a = a;
+  run.b = b;
   run.sc = &sc;
   run.col_blocks = std::min(cfg.col_blocks == 0 ? cfg.threads : cfg.col_blocks, b.size());
   run.row_block_len = cfg.row_block;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "align/result.hpp"
 #include "seq/sequence.hpp"
@@ -33,6 +34,11 @@ struct WavefrontConfig {
 /// Parallel linear-space SW: best score + canonical end cell.
 /// @throws std::invalid_argument on alphabet mismatch / bad config.
 align::LocalScoreResult wavefront_sw(const seq::Sequence& a, const seq::Sequence& b,
+                                     const align::Scoring& sc, const WavefrontConfig& cfg);
+
+/// Raw-span variant — the form Z-align plugs into the §2.3 retrieval core
+/// as its reverse pass.
+align::LocalScoreResult wavefront_sw(std::span<const seq::Code> a, std::span<const seq::Code> b,
                                      const align::Scoring& sc, const WavefrontConfig& cfg);
 
 }  // namespace swr::par

@@ -1,11 +1,8 @@
 #include "par/zalign.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
-#include "align/banded.hpp"
-#include "align/hirschberg.hpp"
-#include "align/local_linear.hpp"
+#include "retrieve/traceback.hpp"
 
 namespace swr::par {
 
@@ -24,57 +21,28 @@ ZAlignResult zalign(const seq::Sequence& a, const seq::Sequence& b, const align:
     throw std::invalid_argument("zalign: alphabet mismatch");
   }
 
-  ZAlignResult out;
-
   // Phases 1-3: parallel wavefront passes (distribution + linear-space
-  // matrix + reduction happen inside wavefront_sw), forward then reversed.
-  const align::LocalScoreResult fwd = wavefront_sw(a, b, sc, opt.wavefront);
+  // matrix + reduction happen inside wavefront_sw), forward here and
+  // reversed inside the retrieval core.
+  const retrieve::ScorePass wavefront = [&](std::span<const seq::Code> rows,
+                                            std::span<const seq::Code> cols) {
+    return wavefront_sw(rows, cols, sc, opt.wavefront);
+  };
+  ZAlignResult out;
+  const align::LocalScoreResult fwd = wavefront(a.codes(), b.codes());
   out.alignment.score = fwd.score;
   if (fwd.score <= 0) return out;
 
-  const seq::Sequence ra = a.subsequence(0, fwd.end.i).reversed();
-  const seq::Sequence rb = b.subsequence(0, fwd.end.j).reversed();
-  const align::LocalScoreResult rev = wavefront_sw(ra, rb, sc, opt.wavefront);
-  if (rev.score != fwd.score) {
-    throw std::logic_error("zalign: reverse pass disagrees with forward pass");
-  }
-  const align::Cell begin{fwd.end.i - rev.end.i + 1, fwd.end.j - rev.end.j + 1};
-  const align::LocalScoreResult anch =
-      align::anchored_best_end(a, b, begin, fwd.end.i, fwd.end.j, sc);
-  if (anch.score != fwd.score) {
-    throw std::logic_error("zalign: anchored scan disagrees with forward pass");
-  }
-  out.alignment.begin = begin;
-  out.alignment.end = anch.end;
-
-  // Phase 4: banded retrieval inside the budget, doubling the divergence
-  // band until the banded global score reaches the known optimum.
-  const auto wa = a.codes().subspan(begin.i - 1, anch.end.i - begin.i + 1);
-  const auto wb = b.codes().subspan(begin.j - 1, anch.end.j - begin.j + 1);
-  const std::size_t rows = wa.size();
-  const std::size_t cols = wb.size();
-  const align::Score window_score =
-      static_cast<align::Score>(fwd.score);  // = global NW score of the window
-
-  std::size_t band = std::max<std::size_t>(rows > cols ? rows - cols : cols - rows, 1);
-  const std::size_t band_cap = rows + cols;  // full matrix equivalent
-  while (band < band_cap && align::banded_nw_score(wa, wb, band, sc) != window_score) {
-    band *= 2;
-  }
-  band = std::min(band, band_cap);
-
-  if (align::banded_cells(rows, band) <= opt.max_retrieval_cells) {
-    align::LocalAlignment banded = align::banded_nw_align(wa, wb, band, sc);
-    out.alignment.cigar = std::move(banded.cigar);
-    out.mode = RetrievalMode::Banded;
-    out.band = band;
-    out.retrieval_cells = align::banded_cells(rows, band);
-  } else {
-    out.alignment.cigar = align::hirschberg_cigar(wa, wb, sc);
-    out.mode = RetrievalMode::Hirschberg;
-    out.band = 0;
-    out.retrieval_cells = 2 * (cols + 1);  // two rolling rows
-  }
+  // Phase 4: the §2.3 core doubles the divergence band until the banded
+  // global score reaches the known optimum, inside the memory budget.
+  retrieve::TracebackOptions topt;
+  topt.band_cell_budget = opt.max_retrieval_cells;
+  const retrieve::Traceback tb =
+      retrieve::traceback_hit(a.codes(), b.codes(), fwd, sc, topt, wavefront);
+  out.alignment = tb.alignment;
+  out.mode = tb.banded ? RetrievalMode::Banded : RetrievalMode::Hirschberg;
+  out.band = tb.band;
+  out.retrieval_cells = tb.peak_cells;
   return out;
 }
 

@@ -8,15 +8,14 @@
 //   phase 1  sequences distributed to the workers (the wavefront's column
 //            blocks);
 //   phase 2  the entire similarity matrix computed in linear space by the
-//            parallel wavefront — over the *reversed* sequences, yielding
-//            the begin coordinate(s) of the best alignment and, from a
-//            cheap forward pass, its end;
+//            parallel wavefront — forward for the end of the best
+//            alignment, then over the *reversed* prefixes for its begin;
 //   phase 3  workers' bests reduced to a single global best (the fold
 //            inside wavefront_sw);
 //   phase 4  the alignment retrieved inside a divergence band sized to a
-//            user-supplied memory budget: banded DP with traceback when
-//            the window fits the budget, Hirschberg (linear space, ~2x
-//            time) as the fallback.
+//            user-supplied memory budget, Hirschberg (linear space, ~2x
+//            time) as the fallback: retrieve::traceback_hit, with the
+//            wavefront as its reverse pass.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +40,7 @@ struct ZAlignResult {
   align::LocalAlignment alignment;
   RetrievalMode mode = RetrievalMode::None;
   std::size_t band = 0;              ///< divergence band used (Banded mode)
-  std::size_t retrieval_cells = 0;   ///< DP cells the retrieval stored
+  std::size_t retrieval_cells = 0;   ///< peak DP cells the retrieval stored
 };
 
 /// Exact best local alignment of a vs b with bounded retrieval memory.

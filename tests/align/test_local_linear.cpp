@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <span>
 #include <tuple>
 
 #include "align/local_linear.hpp"
 #include "align/sw_full.hpp"
 #include "align/sw_linear.hpp"
+#include "retrieve/traceback.hpp"
 #include "seq/workload.hpp"
 #include "test_util.hpp"
 
@@ -18,7 +20,7 @@ const Scoring kSc = Scoring::paper_default();
 TEST(LocalLinear, Figure2Example) {
   const seq::Sequence s = seq::Sequence::dna("TATGGAC");
   const seq::Sequence t = seq::Sequence::dna("TAGTGACT");
-  const LocalAlignment lin = local_align_linear(s, t, kSc);
+  const LocalAlignment lin = retrieve::local_align_linear(s, t, kSc);
   const LocalAlignment full = sw_align(s, t, kSc);
   EXPECT_EQ(lin.score, full.score);
   EXPECT_EQ(lin.begin, full.begin);
@@ -28,7 +30,7 @@ TEST(LocalLinear, Figure2Example) {
 
 TEST(LocalLinear, NoPositiveAlignment) {
   const LocalAlignment al =
-      local_align_linear(seq::Sequence::dna("AAAA"), seq::Sequence::dna("TTTT"), kSc);
+      retrieve::local_align_linear(seq::Sequence::dna("AAAA"), seq::Sequence::dna("TTTT"), kSc);
   EXPECT_EQ(al.score, 0);
   EXPECT_TRUE(al.cigar.empty());
 }
@@ -44,7 +46,7 @@ TEST_P(LocalLinearProperty, MatchesOracleScore) {
   const auto [m, n, seed] = GetParam();
   const seq::Sequence a = swr::test::random_dna(m, seed * 31 + 1);
   const seq::Sequence b = swr::test::random_dna(n, seed * 37 + 2);
-  const LocalAlignment lin = local_align_linear(a, b, kSc);
+  const LocalAlignment lin = retrieve::local_align_linear(a, b, kSc);
   const LocalAlignment full = sw_align(a, b, kSc);
   ASSERT_EQ(lin.score, full.score);
   if (lin.score > 0) {
@@ -65,7 +67,7 @@ TEST(LocalLinear, HomologPairRecoversAlignment) {
   mm.insertion_rate = 0.02;
   mm.deletion_rate = 0.02;
   const auto pair = seq::make_homolog_pair(800, mm, 55);
-  const LocalAlignment lin = local_align_linear(pair.a, pair.b, kSc);
+  const LocalAlignment lin = retrieve::local_align_linear(pair.a, pair.b, kSc);
   const LocalAlignment full = sw_align(pair.a, pair.b, kSc);
   EXPECT_EQ(lin.score, full.score);
   EXPECT_GT(cigar_identity(lin.cigar), 0.85);
@@ -75,14 +77,14 @@ TEST(LocalLinear, CustomPassEngineIsUsed) {
   // Plug a counting wrapper as the pass engine; the pipeline must call it
   // exactly twice (forward + reverse).
   int calls = 0;
-  const ScorePassFn pass = [&calls](const seq::Sequence& x, const seq::Sequence& y,
-                                    const Scoring& s) {
+  const retrieve::ScorePass pass = [&calls](std::span<const seq::Code> x,
+                                            std::span<const seq::Code> y) {
     ++calls;
-    return sw_linear(x, y, s);
+    return sw_linear_codes(x, y, kSc);
   };
   const seq::Sequence a = swr::test::random_dna(64, 91);
   const seq::Sequence b = swr::test::random_dna(64, 92);
-  const LocalAlignment lin = local_align_linear(a, b, kSc, pass);
+  const LocalAlignment lin = retrieve::local_align_linear(a, b, kSc, pass);
   EXPECT_EQ(calls, 2);
   EXPECT_EQ(lin.score, sw_align(a, b, kSc).score);
 }
@@ -114,9 +116,9 @@ TEST(AnchoredBestEnd, RejectsBadWindows) {
 }
 
 TEST(LocalLinear, AlphabetMismatchRejected) {
-  EXPECT_THROW(
-      (void)local_align_linear(seq::Sequence::dna("ACGT"), seq::Sequence::protein("ARND"), kSc),
-      std::invalid_argument);
+  EXPECT_THROW((void)retrieve::local_align_linear(seq::Sequence::dna("ACGT"),
+                                                 seq::Sequence::protein("ARND"), kSc),
+               std::invalid_argument);
 }
 
 }  // namespace

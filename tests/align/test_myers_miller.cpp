@@ -4,6 +4,7 @@
 
 #include "align/gotoh.hpp"
 #include "align/myers_miller.hpp"
+#include "retrieve/traceback.hpp"
 #include "seq/workload.hpp"
 #include "test_util.hpp"
 
@@ -151,7 +152,7 @@ TEST_P(AffineLocalLinear, MatchesGotohOracleScore) {
   const AffineScoring sc = default_affine();
   const seq::Sequence a = swr::test::random_dna(m, seed * 17 + 500);
   const seq::Sequence b = swr::test::random_dna(n, seed * 19 + 600);
-  const LocalAlignment lin = gotoh_local_align_linear(a, b, sc);
+  const LocalAlignment lin = retrieve::local_align_linear(a, b, sc);
   const LocalAlignment full = gotoh_local_align(a, b, sc);
   ASSERT_EQ(lin.score, full.score);
   if (lin.score > 0) {
@@ -167,15 +168,15 @@ INSTANTIATE_TEST_SUITE_P(Sweep, AffineLocalLinear,
                                           testing::Values<std::uint64_t>(1, 2, 3, 4)));
 
 TEST(AffineLocalLinear, NoPositiveAlignment) {
-  const LocalAlignment al = gotoh_local_align_linear(seq::Sequence::dna("AAAA"),
-                                                     seq::Sequence::dna("TTTT"), default_affine());
+  const LocalAlignment al = retrieve::local_align_linear(
+      seq::Sequence::dna("AAAA"), seq::Sequence::dna("TTTT"), default_affine());
   EXPECT_EQ(al.score, 0);
   EXPECT_TRUE(al.cigar.empty());
 }
 
 TEST(AffineLocalLinear, AlphabetMismatchRejected) {
-  EXPECT_THROW((void)gotoh_local_align_linear(seq::Sequence::dna("ACGT"),
-                                              seq::Sequence::protein("ARND"), default_affine()),
+  EXPECT_THROW((void)retrieve::local_align_linear(seq::Sequence::dna("ACGT"),
+                                                 seq::Sequence::protein("ARND"), default_affine()),
                std::invalid_argument);
 }
 

@@ -61,6 +61,43 @@ TEST(CliAffine, FittingAffineRejected) {
   EXPECT_EQ(run("align", {"x.fa", "y.fa", "--affine", "--mode", "fitting"}).code, 2);
 }
 
+// `--engine accel` with --affine runs the AffinePe array's passes through
+// the same retrieval core, so the report matches the software passes.
+TEST(CliAffine, AccelEngineRunsTheAffineArray) {
+  seq::RandomSequenceGenerator gen(5);
+  const seq::Sequence q = gen.uniform(seq::dna(), 40, "q");
+  seq::Sequence r = gen.uniform(seq::dna(), 60, "r");
+  r.append(seq::point_mutate(q, 0.05, gen.engine()));
+  r.append(gen.uniform(seq::dna(), 30));
+  const std::string fr = write_fa("cli_aff_acc_r", {r});
+  const std::string fq = write_fa("cli_aff_acc_q", {q});
+
+  const RunResult sw = run("align", {fr, fq, "--affine"});
+  const RunResult hw = run("align", {fr, fq, "--affine", "--engine", "accel", "--pes", "24"});
+  ASSERT_EQ(sw.code, 0) << sw.err;
+  ASSERT_EQ(hw.code, 0) << hw.err;
+  EXPECT_NE(sw.out.find("cigar:"), std::string::npos) << sw.out;
+  EXPECT_EQ(hw.out, sw.out);
+
+  // An array the device cannot hold is a runtime error, never a silent
+  // software run.
+  const RunResult big =
+      run("align", {fr, fq, "--affine", "--engine", "accel", "--pes", "100000"});
+  EXPECT_EQ(big.code, 1) << big.out;
+  EXPECT_NE(big.err.find("do not fit"), std::string::npos) << big.err;
+}
+
+// The array computes local scores only: global and fitting alignments on
+// it are usage errors, not software runs under an accel flag.
+TEST(CliAccel, GlobalAndFittingModesRejectTheArray) {
+  const std::string fa = write_fa("cli_acc_mode_a", {seq::Sequence::dna("ACGTACCCCGT", "a")});
+  const std::string fb = write_fa("cli_acc_mode_b", {seq::Sequence::dna("ACGTACGT", "b")});
+  EXPECT_EQ(run("align", {fa, fb, "--mode", "global"}).code, 0);
+  EXPECT_EQ(run("align", {fa, fb, "--mode", "global", "--engine", "accel"}).code, 2);
+  EXPECT_EQ(run("align", {fa, fb, "--mode", "fitting", "--engine", "accel"}).code, 2);
+  EXPECT_EQ(run("align", {fa, fb, "--mode", "global", "--affine", "--engine", "accel"}).code, 2);
+}
+
 TEST(CliNearBest, EnumeratesPlantedCopies) {
   seq::RandomSequenceGenerator gen(4);
   const seq::Sequence q = gen.uniform(seq::dna(), 50, "q");

@@ -3,6 +3,7 @@
 // this file by suite name (AlignLeg*).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -194,6 +195,53 @@ TEST(AlignLegInfo, JsonReportCoversTheStore) {
   const RunResult verified = run("swdb", {"info", f.db_swdb, "--json", "--verify"});
   ASSERT_EQ(verified.code, 0) << verified.err;
   EXPECT_NE(verified.out.find("\"payload_verified\": true"), std::string::npos) << verified.out;
+}
+
+// Splits one tab-separated line into its fields.
+std::vector<std::string> tsv_fields(const std::string& line) {
+  std::vector<std::string> fields;
+  std::istringstream in(line);
+  for (std::string f; std::getline(in, f, '\t');) fields.push_back(f);
+  return fields;
+}
+
+TEST(AlignLegAgreement, AlignPrintsTheScanTranscript) {
+  // `swr align r.fa q.fa` and `swr scan q.fa r.fa --align` retrieve through
+  // the same §2.3 core: on planted homologs (300-BP query, 6%
+  // substitutions, 2% indels) they must print one transcript per hit, not
+  // only the same score and coordinates.
+  seq::MutationModel mm;
+  mm.substitution_rate = 0.06;
+  mm.insertion_rate = 0.01;
+  mm.deletion_rate = 0.01;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    seq::RandomSequenceGenerator gen(9100 + seed);
+    const seq::Sequence query = gen.uniform(seq::dna(), 300, "q");
+    seq::Sequence rec = gen.uniform(seq::dna(), 40 + 10 * seed, "r");
+    rec.append(seq::mutate(query, mm, gen.engine()));
+    rec.append(gen.uniform(seq::dna(), 90));
+    const std::string q_fa = testing::TempDir() + "/" + test::unique_leaf("agree_q.fa");
+    const std::string r_fa = testing::TempDir() + "/" + test::unique_leaf("agree_r.fa");
+    seq::write_fasta_file(q_fa, {query});
+    seq::write_fasta_file(r_fa, {rec});
+
+    const RunResult scan = run("scan", {q_fa, r_fa, "--align", "--format", "tsv"});
+    ASSERT_EQ(scan.code, 0) << scan.err;
+    std::string row;  // first non-header line: rank 1
+    for (std::istringstream lines(scan.out); std::getline(lines, row);) {
+      if (row.rfind('#', 0) != 0) break;
+    }
+    const std::vector<std::string> f = tsv_fields(row);
+    ASSERT_EQ(f.size(), 11u) << scan.out;  // ... begin_rec begin_query identity coverage cigar
+
+    const RunResult al = run("align", {r_fa, q_fa});
+    ASSERT_EQ(al.code, 0) << al.err;
+    const std::string coords =
+        "a[" + f[6] + ".." + f[4] + "]  b[" + f[7] + ".." + f[5] + "]";
+    EXPECT_NE(al.out.find(coords), std::string::npos) << "seed " << seed << "\n" << al.out;
+    EXPECT_NE(al.out.find("cigar: " + f[10] + "\n"), std::string::npos)
+        << "seed " << seed << ": scan printed " << f[10] << "\n" << al.out;
+  }
 }
 
 TEST(AlignLegMatrix, RendersFigureTwoForSmallPairs) {

@@ -2,9 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "align/gotoh.hpp"
-#include "align/myers_miller.hpp"
 #include "core/accelerator.hpp"
 #include "host/pipeline.hpp"
+#include "retrieve/traceback.hpp"
 #include "seq/mutate.hpp"
 #include "seq/random.hpp"
 #include "test_util.hpp"
@@ -59,7 +59,7 @@ TEST(AffinePipeline, MatchesSoftwareAffinePipeline) {
     const seq::Sequence q = swr::test::random_dna(40, seed * 7);
     const seq::Sequence db = swr::test::random_dna(180, seed * 9);
     const host::PipelineResult hw = pipe.align(q, db);
-    const align::LocalAlignment sw = align::gotoh_local_align_linear(db, q, sc);
+    const align::LocalAlignment sw = retrieve::local_align_linear(db, q, sc);
     EXPECT_EQ(hw.alignment.score, sw.score) << "seed " << seed;
     EXPECT_EQ(hw.alignment.begin, sw.begin) << "seed " << seed;
     EXPECT_EQ(hw.alignment.end, sw.end) << "seed " << seed;

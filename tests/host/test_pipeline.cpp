@@ -1,10 +1,10 @@
 // The complete host+board pipeline against the pure-software references.
 #include <gtest/gtest.h>
 
-#include "align/local_linear.hpp"
 #include "align/sw_full.hpp"
 #include "core/accelerator.hpp"
 #include "host/pipeline.hpp"
+#include "retrieve/traceback.hpp"
 #include "seq/workload.hpp"
 #include "test_util.hpp"
 
@@ -34,7 +34,7 @@ TEST(HostPipeline, MatchesSoftwarePipelineExactly) {
     const seq::Sequence q = swr::test::random_dna(40, seed);
     const seq::Sequence db = swr::test::random_dna(150, seed + 100);
     const host::PipelineResult hw = pipe.align(q, db);
-    const align::LocalAlignment sw = align::local_align_linear(db, q, kSc);
+    const align::LocalAlignment sw = retrieve::local_align_linear(db, q, kSc);
     EXPECT_EQ(hw.alignment.score, sw.score) << "seed " << seed;
     EXPECT_EQ(hw.alignment.begin, sw.begin) << "seed " << seed;
     EXPECT_EQ(hw.alignment.end, sw.end) << "seed " << seed;

@@ -11,9 +11,13 @@
 
 #include "align/banded.hpp"
 #include "align/cigar.hpp"
+#include "align/gotoh.hpp"
 #include "align/nw.hpp"
 #include "align/sw_linear.hpp"
+#include "core/accelerator.hpp"
+#include "host/pipeline.hpp"
 #include "obs/metrics.hpp"
+#include "par/zalign.hpp"
 #include "retrieve/topk.hpp"
 #include "retrieve/traceback.hpp"
 #include "seq/mutate.hpp"
@@ -229,6 +233,156 @@ TEST(TracebackHit, ForgedScoreIsCaughtLoudly) {
   EXPECT_THROW(
       (void)retrieve::traceback_hit(p.rec.codes(), p.query.codes(), forged, align::Scoring{}),
       std::logic_error);
+}
+
+// ------------------------------------------------ affine gaps + the band
+
+const align::AffineScoring kAffine{2, -1, -2, -1, nullptr};
+
+PlantedHit plant_affine(std::uint64_t seed, double rate) {
+  PlantedHit p = plant(seed, rate);
+  p.kernel = align::gotoh_local_score(p.rec.codes(), p.query.codes(), kAffine);
+  return p;
+}
+
+TEST(TracebackHit, AffineReplaysTheKernelScoreExactly) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const PlantedHit p = plant_affine(seed, 0.01 * static_cast<double>(seed));
+    ASSERT_GT(p.kernel.score, 0);
+    const retrieve::Traceback tb =
+        retrieve::traceback_hit(p.rec.codes(), p.query.codes(), p.kernel, kAffine);
+    const align::Cell b = tb.alignment.begin;
+    const align::Cell e = tb.alignment.end;
+
+    EXPECT_EQ(tb.alignment.score, p.kernel.score);
+    EXPECT_EQ(align::affine_score_of(tb.alignment.cigar, p.rec.codes().subspan(b.i - 1),
+                                     p.query.codes().subspan(b.j - 1), kAffine),
+              p.kernel.score)
+        << "seed " << seed;
+    EXPECT_EQ(tb.alignment.cigar.consumed_i(), e.i - b.i + 1);
+    EXPECT_EQ(tb.alignment.cigar.consumed_j(), e.j - b.j + 1);
+    EXPECT_FALSE(tb.banded);  // affine windows go to Myers-Miller
+    EXPECT_EQ(tb.band, 0u);
+    EXPECT_GT(tb.identity, 0.0);
+    EXPECT_LE(tb.identity, 1.0);
+    EXPECT_GT(tb.query_coverage, 0.0);
+    EXPECT_LE(tb.query_coverage, 1.0);
+    EXPECT_GT(tb.dp_cells, 0u);
+    // Myers-Miller's split holds four rows of the window.
+    EXPECT_GE(tb.peak_cells, 4 * (e.j - b.j + 2));
+  }
+}
+
+TEST(TracebackHit, AffineForgedScoreIsCaughtLoudly) {
+  const PlantedHit p = plant_affine(99, 0.03);
+  align::LocalScoreResult forged = p.kernel;
+  forged.score += 7;
+  EXPECT_THROW((void)retrieve::traceback_hit(p.rec.codes(), p.query.codes(), forged, kAffine),
+               std::logic_error);
+}
+
+TEST(TracebackHit, BandIsDoubledUpToTheProvenCap) {
+  // The window band starts at max(|m-n|, 1) and doubles while the banded
+  // score falls short of the kernel score, capped at band_from_score.
+  const align::Scoring sc;
+  std::vector<PlantedHit> hits;
+  seq::MutationModel mm;
+  mm.substitution_rate = 0.05;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    mm.insertion_rate = mm.deletion_rate = 0.005 * static_cast<double>(seed % 6);
+    seq::RandomSequenceGenerator gen(7000 + seed);
+    PlantedHit& p = hits.emplace_back();
+    p.query = gen.uniform(seq::dna(), 200, "q");
+    p.rec = gen.uniform(seq::dna(), 30, "r");
+    p.rec.append(seq::mutate(p.query, mm, gen.engine()));
+    p.rec.append(gen.uniform(seq::dna(), 30));
+  }
+  {
+    // A 12-residue deletion, then a 3-residue insertion: the window is 9
+    // rows longer than the query and drifts 12 diagonals, so doubling
+    // from 9 would reach 18 where the score proves 15 suffice.
+    seq::RandomSequenceGenerator gen(7100);
+    PlantedHit& p = hits.emplace_back();
+    p.query = gen.uniform(seq::dna(), 300, "q");
+    p.rec = p.query.subsequence(0, 150);
+    p.rec.append(gen.uniform(seq::dna(), 12));
+    p.rec.append(p.query.subsequence(150, 100));
+    p.rec.append(p.query.subsequence(253, 47));
+  }
+
+  int doubled = 0;
+  int capped = 0;
+  for (std::size_t k = 0; k < hits.size(); ++k) {
+    const PlantedHit& p = hits[k];
+    const align::LocalScoreResult kernel =
+        align::sw_linear_codes(p.rec.codes(), p.query.codes(), sc);
+    const retrieve::Traceback tb =
+        retrieve::traceback_hit(p.rec.codes(), p.query.codes(), kernel, sc);
+    ASSERT_TRUE(tb.banded) << "pair " << k;
+
+    const align::Cell b = tb.alignment.begin;
+    const align::Cell e = tb.alignment.end;
+    const auto wa = p.rec.codes().subspan(b.i - 1, e.i - b.i + 1);
+    const auto wb = p.query.codes().subspan(b.j - 1, e.j - b.j + 1);
+    const std::size_t cap = retrieve::band_from_score(wa.size(), wb.size(), kernel.score, sc);
+    EXPECT_LE(align::required_band(tb.alignment.cigar, align::Cell{1, 1}), tb.band)
+        << "pair " << k;
+    EXPECT_LE(tb.band, cap) << "pair " << k;
+
+    const std::size_t diff = wa.size() > wb.size() ? wa.size() - wb.size() : wb.size() - wa.size();
+    const std::size_t start = std::max<std::size_t>(diff, 1);
+    if (tb.band < cap && tb.band / 2 >= start) {
+      // Not capped and not the first step: the previous step fell short.
+      EXPECT_LT(align::banded_nw_score(wa, wb, tb.band / 2, sc), kernel.score) << "pair " << k;
+      ++doubled;
+    }
+    if (tb.band == cap && tb.band > start) ++capped;
+  }
+  // The sweep must exercise both the doubling and the cap.
+  EXPECT_GT(doubled, 0);
+  EXPECT_GT(capped, 0);
+}
+
+// -------------------------------------- one transcript per hit, everywhere
+
+TEST(TracebackAgreement, EveryEntryPointReturnsTheSameAlignment) {
+  // Scan hits, the software pairwise entry, the accelerator pipeline and
+  // Z-align all come out of traceback_hit, so on pairs whose band fits
+  // every default budget they agree on (score, begin, end, cigar).
+  const align::Scoring sc;
+  core::SmithWatermanAccelerator acc(core::xc2vp70(), 32, sc);
+  host::HostPipeline pipe(acc, host::PciConfig{});
+  par::ZAlignOptions zopt;
+  zopt.wavefront.threads = 2;
+  zopt.wavefront.row_block = 64;
+
+  seq::MutationModel mm;
+  mm.substitution_rate = 0.06;
+  mm.insertion_rate = 0.01;
+  mm.deletion_rate = 0.01;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    seq::RandomSequenceGenerator gen(8800 + seed);
+    const seq::Sequence query = gen.uniform(seq::dna(), 60 + 10 * seed, "q");
+    seq::Sequence rec = gen.uniform(seq::dna(), 150, "r");
+    if (seed % 3 != 0) {  // two in three homologs, the rest random pairs
+      rec.append(seq::mutate(query, mm, gen.engine()));
+      rec.append(gen.uniform(seq::dna(), 40));
+    }
+    const align::LocalScoreResult kernel = align::sw_linear_codes(rec.codes(), query.codes(), sc);
+    ASSERT_GT(kernel.score, 0);
+
+    const align::LocalAlignment want =
+        retrieve::traceback_hit(rec.codes(), query.codes(), kernel, sc).alignment;
+    const align::LocalAlignment pair = retrieve::local_align_linear(rec, query, sc);
+    const align::LocalAlignment hw = pipe.align(query, rec).alignment;
+    const align::LocalAlignment z = par::zalign(rec, query, sc, zopt).alignment;
+    for (const align::LocalAlignment* got : {&pair, &hw, &z}) {
+      EXPECT_EQ(got->score, want.score) << "seed " << seed;
+      EXPECT_EQ(got->begin, want.begin) << "seed " << seed;
+      EXPECT_EQ(got->end, want.end) << "seed " << seed;
+      EXPECT_EQ(got->cigar, want.cigar) << "seed " << seed;
+    }
+  }
 }
 
 TEST(TracebackMetrics, RecordsPerHitAccounting) {

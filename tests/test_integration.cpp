@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "align/evalue.hpp"
-#include "align/local_linear.hpp"
 #include "align/near_best.hpp"
 #include "align/sw_full.hpp"
 #include "core/multiboard.hpp"
@@ -14,6 +13,7 @@
 #include "host/batch.hpp"
 #include "host/pipeline.hpp"
 #include "par/zalign.hpp"
+#include "retrieve/traceback.hpp"
 #include "seq/fasta.hpp"
 #include "seq/workload.hpp"
 #include "test_util.hpp"
@@ -137,7 +137,7 @@ TEST(Integration, TracedPipelineRun) {
   const seq::Sequence q = swr::test::random_dna(8, 61);
   const seq::Sequence db = swr::test::random_dna(60, 62);
   const host::PipelineResult pr = pipe.align(q, db);
-  EXPECT_EQ(pr.alignment.score, align::local_align_linear(db, q, kSc).score);
+  EXPECT_EQ(pr.alignment.score, retrieve::local_align_linear(db, q, kSc).score);
   // Both accelerator passes were traced.
   EXPECT_GT(tracer.samples(),
             pr.forward_stats.total_cycles);  // forward + at least part of reverse
