@@ -35,7 +35,7 @@ int bench_multiboard() {
   bench::rule(56);
   double t1 = 0.0;
   for (const std::size_t nb : {1u, 2u, 4u, 8u}) {
-    core::BoardFleet fleet = core::make_board_fleet(core::xc2vp70(), nb, 100, sc);
+    core::BoardFleet fleet = core::make_board_fleet({.boards = nb, .pes_per_board = 100}, sc);
     const core::MultiBoardResult r = core::multiboard_run(fleet, wl.query, wl.database);
     if (nb == 1) t1 = r.seconds;
     const bool ok = r.best == oracle;

@@ -25,8 +25,7 @@ int main() {
 
   bench::header("F5: systolic trace — query ACGC resident, database ACTA streaming");
 
-  ArrayController<ScorePe> ctl(query.size(), 16, sc, 1 << 20, /*charge_query_load=*/false,
-                               false);
+  ArrayController<ScorePe> ctl(query.size(), 16, sc, 1 << 20, /*charge_query_load=*/false);
 
   std::ofstream vcd_file("fig5_trace.vcd");
   hw::VcdWriter vcd(vcd_file, "systolic_array");

@@ -183,7 +183,7 @@ void BM_CycleAccurateArray(benchmark::State& state) {
   const std::size_t npes = static_cast<std::size_t>(state.range(0));
   const seq::Sequence q = make_dna(npes, 15);
   const seq::Sequence db = make_dna(20'000, 16);
-  core::ArrayController<core::ScorePe> ctl(npes, 16, kSc, 16u << 20, true, false);
+  core::ArrayController<core::ScorePe> ctl(npes, 16, kSc, 16u << 20, true);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ctl.run(q, db));
   }
@@ -1376,10 +1376,8 @@ int run_fleet_comparison() {
   // 1000 elements outstrip every Virtex-II-era die; the catalog's
   // late-generation xc7v2000t entry exists for these projections.
   const core::FpgaDevice& big_dev = core::device("xc7v2000t");
-  core::SmithWatermanAccelerator dense(big_dev, npes_big, kSc, 16, 32, true, false,
-                                       hw::SchedMode::Dense);
-  core::SmithWatermanAccelerator event(big_dev, npes_big, kSc, 16, 32, true, false,
-                                       hw::SchedMode::Event);
+  core::SmithWatermanAccelerator dense(big_dev, npes_big, kSc, hw::SchedMode::Dense);
+  core::SmithWatermanAccelerator event(big_dev, npes_big, kSc, hw::SchedMode::Event);
 
   bool identical = true;
   std::uint64_t sim_cycles = 0;

@@ -98,10 +98,10 @@ int main() {
     const std::size_t small_pes = std::min<std::size_t>(npes, 64);
     bool ok;
     if (r.affine) {
-      ArrayController<AffinePe> ctl(small_pes, 16, aff_sc, 16u << 20, true, false);
+      ArrayController<AffinePe> ctl(small_pes, 16, aff_sc, 16u << 20, true);
       ok = ctl.run(q, db) == align::gotoh_local_score(db.codes(), q.codes(), aff_sc);
     } else {
-      ArrayController<ScorePe> ctl(small_pes, 16, lin_sc, 16u << 20, true, false);
+      ArrayController<ScorePe> ctl(small_pes, 16, lin_sc, 16u << 20, true);
       ok = ctl.run(q, db) == align::sw_linear(db, q, lin_sc);
     }
     if (!ok) {

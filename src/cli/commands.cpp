@@ -346,10 +346,10 @@ int scan_batch(const ArgParser& args, const seq::Alphabet& ab, const align::Scor
 
   svc::ServiceConfig cfg;
   cfg.cpu_workers = static_cast<std::size_t>(args.get_int("cpu-workers"));
-  cfg.boards = static_cast<std::size_t>(args.get_int("boards"));
-  cfg.board_pes = static_cast<std::size_t>(args.get_int("pes"));
-  cfg.board_device_name = args.get("board-device");
-  if (const auto sched = hw::parse_sched_mode(args.get("sched"))) cfg.board_sched = *sched;
+  cfg.fleet.device = args.get("board-device");
+  cfg.fleet.boards = static_cast<std::size_t>(args.get_int("boards"));
+  cfg.fleet.pes_per_board = static_cast<std::size_t>(args.get_int("pes"));
+  if (const auto sched = hw::parse_sched_mode(args.get("sched"))) cfg.fleet.sched = *sched;
   cfg.queue_capacity = std::max<std::size_t>(static_cast<std::size_t>(args.get_int("queue")),
                                              queries.size());
   cfg.max_inflight = static_cast<std::size_t>(args.get_int("inflight"));
@@ -370,7 +370,7 @@ int scan_batch(const ArgParser& args, const seq::Alphabet& ab, const align::Scor
   if (format != "tsv") {
     out << "database: " << database.size() << " records, " << database.residues()
         << " residues\n";
-    out << "service: " << cfg.cpu_workers << " cpu workers, " << cfg.boards << " boards, "
+    out << "service: " << cfg.cpu_workers << " cpu workers, " << cfg.fleet.boards << " boards, "
         << cfg.max_inflight << " in flight, " << cfg.chunk_records << " records/chunk\n";
   }
 
@@ -593,10 +593,7 @@ int cmd_scan(const std::vector<std::string>& argv, std::ostream& out) {
                           : host::scan_database_fleet(fleet, query, database.records, opt);
   } else {
     core::SmithWatermanAccelerator acc(core::xc2vp70(),
-                                       static_cast<std::size_t>(args.get_int("pes")), sc,
-                                       /*score_bits=*/16u, /*cycle_bits=*/32u,
-                                       /*charge_query_load=*/true,
-                                       /*shuffle_evaluation=*/false, sched);
+                                       static_cast<std::size_t>(args.get_int("pes")), sc, sched);
     scan = database.store ? host::scan_database(acc, query, *database.store, opt)
                           : host::scan_database(acc, query, database.records, opt);
   }

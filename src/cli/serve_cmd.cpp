@@ -163,8 +163,8 @@ int cmd_serve(const std::vector<std::string>& argv, std::ostream& out) {
 
   svc::net::ServerConfig cfg;
   cfg.service.cpu_workers = static_cast<std::size_t>(args.get_int("cpu-workers"));
-  cfg.service.boards = static_cast<std::size_t>(args.get_int("boards"));
-  cfg.service.board_pes = static_cast<std::size_t>(args.get_int("pes"));
+  cfg.service.fleet.boards = static_cast<std::size_t>(args.get_int("boards"));
+  cfg.service.fleet.pes_per_board = static_cast<std::size_t>(args.get_int("pes"));
   cfg.service.max_inflight = static_cast<std::size_t>(args.get_int("inflight"));
   cfg.service.queue_capacity = static_cast<std::size_t>(args.get_int("queue"));
   cfg.service.chunk_records = static_cast<std::size_t>(args.get_int("chunk"));

@@ -25,6 +25,10 @@
 
 namespace swr::core {
 
+/// Bytes of the board's result record, the paper's "few bytes" read back
+/// per job: score (4) + end row (8) + end column (4) + status (4).
+inline constexpr std::size_t kResultBytes = 20;
+
 /// Bus leg of one job, filled only when a bus model is attached
 /// (attach_bus): the DMA double-buffer timeline for the database stream
 /// plus the serialized query/result transactions around it.
@@ -58,20 +62,27 @@ class BasicAccelerator {
  public:
   using Scoring = typename SystolicArray<Pe>::Scoring;
 
+  /// The synthesized datapath: 16-bit saturating scores (SAMBA used 12
+  /// [21]), 32-bit row counters (databases up to 4 GBP), and every query
+  /// chunk shifted into the SP registers at one cycle per element — the
+  /// configuration the performance model predicts. ArrayController takes
+  /// all three as parameters for the white-box tests that vary them.
+  static constexpr unsigned kScoreBits = 16;
+  static constexpr unsigned kCycleBits = 32;
+  static constexpr bool kChargeQueryLoad = true;
+
   /// Synthesizes (in the model) `num_pes` elements onto `dev`.
   /// @throws std::invalid_argument when the configuration does not fit the
   /// device — the model's equivalent of a failed place-and-route.
   BasicAccelerator(const FpgaDevice& dev, std::size_t num_pes, const Scoring& scoring,
-                   unsigned score_bits = 16, unsigned cycle_bits = 32,
-                   bool charge_query_load = true, bool shuffle_evaluation = false,
                    hw::SchedMode sched = hw::default_sched_mode())
       : device_(dev),
         scoring_(scoring),
-        features_{score_bits, cycle_bits, /*coordinate_tracking=*/true,
+        features_{kScoreBits, kCycleBits, /*coordinate_tracking=*/true,
                   /*affine=*/std::is_same_v<Pe, AffinePe>},
         synth_(estimate_resources(dev, num_pes, features_)),
-        controller_(num_pes, score_bits, scoring, dev.board_sram_bytes, charge_query_load,
-                    shuffle_evaluation, sched) {
+        controller_(num_pes, kScoreBits, scoring, dev.board_sram_bytes, kChargeQueryLoad,
+                    sched) {
     if (!synth_.fits) {
       throw std::invalid_argument("BasicAccelerator: " + std::to_string(num_pes) +
                                   " elements do not fit device " + dev.name);
@@ -171,16 +182,11 @@ class BasicAccelerator {
   /// Analytic time (seconds) this accelerator would need for an
   /// (m x n) job — the verified extrapolation used for MBP-scale benches.
   [[nodiscard]] double predict_seconds(std::size_t query_len, std::size_t db_len) const {
-    const CyclePrediction p =
-        predict_cycles(query_len, db_len, num_pes(), /*charge_query_load=*/true);
+    const CyclePrediction p = predict_cycles(query_len, db_len, num_pes(), kChargeQueryLoad);
     return cycles_to_seconds(p.total_cycles, synth_.freq_mhz);
   }
 
  private:
-  /// Result readback: best score + (i, j) coordinates, the paper's "few
-  /// bytes" (matches the host pipeline's result transaction).
-  static constexpr std::size_t kResultBytes = 20;
-
   FpgaDevice device_;
   Scoring scoring_;
   PeFeatures features_;

@@ -23,7 +23,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/config.hpp"
 #include "core/systolic_array.hpp"
 #include "hw/simulator.hpp"
 #include "hw/sram.hpp"
@@ -52,11 +51,12 @@ class ArrayController {
   using Array = SystolicArray<Pe>;
   using Scoring = typename Array::Scoring;
 
+  /// `charge_query_load` charges one idle cycle per element for shifting
+  /// each query chunk into the SP registers, as in [21]'s SAMBA splicing.
   ArrayController(std::size_t num_pes, unsigned score_bits, const Scoring& scoring,
-                  std::size_t sram_capacity_bytes, bool charge_query_load, bool shuffle_evaluation,
+                  std::size_t sram_capacity_bytes, bool charge_query_load,
                   hw::SchedMode sched = hw::default_sched_mode())
       : array_(num_pes, score_bits, scoring, sched),
-        sim_(shuffle_evaluation, /*seed=*/1),
         sram_(sram_capacity_bytes),
         charge_query_load_(charge_query_load) {
     sim_.add(&array_);

@@ -61,17 +61,6 @@ MultiBoardResult multiboard_run(BoardFleet& boards, const seq::Sequence& query,
   return out;
 }
 
-BoardFleet make_board_fleet(const FpgaDevice& dev, std::size_t n, std::size_t pes_per_board,
-                            const align::Scoring& sc) {
-  if (n == 0) throw std::invalid_argument("make_board_fleet: zero boards");
-  BoardFleet fleet;
-  fleet.reserve(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    fleet.push_back(std::make_unique<SmithWatermanAccelerator>(dev, pes_per_board, sc));
-  }
-  return fleet;
-}
-
 void FleetOptions::validate() const {
   if (boards == 0) throw std::invalid_argument("FleetOptions: zero boards");
   if (pes_per_board == 0) throw std::invalid_argument("FleetOptions: zero PEs per board");
@@ -85,9 +74,7 @@ BoardFleet make_board_fleet(const FleetOptions& opt, const align::Scoring& sc) {
   BoardFleet fleet;
   fleet.reserve(opt.boards);
   for (std::size_t k = 0; k < opt.boards; ++k) {
-    auto board = std::make_unique<SmithWatermanAccelerator>(
-        dev, opt.pes_per_board, sc, /*score_bits=*/16u, /*cycle_bits=*/32u,
-        /*charge_query_load=*/true, /*shuffle_evaluation=*/false, opt.sched);
+    auto board = std::make_unique<SmithWatermanAccelerator>(dev, opt.pes_per_board, sc, opt.sched);
     if (opt.model_bus) board->attach_bus(opt.pci, opt.dma);
     fleet.push_back(std::move(board));
   }

@@ -43,10 +43,6 @@ using BoardFleet = std::vector<std::unique_ptr<SmithWatermanAccelerator>>;
 MultiBoardResult multiboard_run(BoardFleet& boards, const seq::Sequence& query,
                                 const seq::Sequence& db);
 
-/// Convenience: builds `n` identical boards on one device.
-BoardFleet make_board_fleet(const FpgaDevice& dev, std::size_t n, std::size_t pes_per_board,
-                            const align::Scoring& sc);
-
 /// Catalog-driven fleet description: the device is named (resolved
 /// through core::device_catalog()), the simulation scheduler is explicit,
 /// and each board can carry its own DMA-modelled bus.
@@ -66,7 +62,9 @@ struct FleetOptions {
   void validate() const;
 };
 
-/// Builds a fleet from a catalog description. @throws std::invalid_argument
+/// Builds a fleet of identical boards from a catalog description — the
+/// one fleet builder: the direct fleet scan, the scan service's board
+/// executors and the CLI all go through it. @throws std::invalid_argument
 /// on an unknown device name, an invalid option set, or a PE count that
 /// does not fit the device.
 BoardFleet make_board_fleet(const FleetOptions& opt, const align::Scoring& sc);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "host/record_source.hpp"
 #include "obs/metrics.hpp"
@@ -36,33 +38,33 @@ bool dust_suppressed(const seq::Sequence& rec, const align::Cell& end, const Sca
   return false;
 }
 
-namespace {
-
-// One loop for both database representations: the accelerator model
-// consumes whole Sequence objects, so records are materialized one at a
-// time (a copy for the vector path, a decode out of the mapping for the
-// .swdb path) — the board SRAM would hold them anyway.
-ScanResult scan_source(core::SmithWatermanAccelerator& accelerator, const seq::Sequence& query,
-                       const RecordSource& src, const ScanOptions& opt) {
+ScanResult scan_records_board(core::SmithWatermanAccelerator& board, const seq::Sequence& query,
+                              const RecordSource& src, std::span<const std::uint32_t> ids,
+                              const ScanOptions& opt) {
   opt.validate();
   if (opt.filter != FilterMode::Exact) {
     throw std::invalid_argument(
-        "scan_database: the accelerator model scans exhaustively (the board streams the whole "
+        "board scan: the accelerator model scans exhaustively (the board streams the whole "
         "database); --filter seeded needs the CPU engine");
   }
-  src.check_alphabet(query, "scan_database");
+  for (const std::uint32_t r : ids) {
+    if (r >= src.size()) {
+      throw std::invalid_argument("scan_records_board: record id " + std::to_string(r) +
+                                  " out of range");
+    }
+  }
   ScanResult out;
+  out.records_scanned = ids.size();
   // One Sequence + decode scratch reused for every record: after the first
   // few records the buffers reach the high-water length and the loop runs
   // allocation-free (scan.db.decode_reuse counts the reused decodes).
   seq::Sequence rec;
   std::vector<seq::Code> scratch;
   std::uint64_t decode_reused = 0;
-  for (std::size_t r = 0; r < src.size(); ++r) {
-    ++out.records_scanned;
+  for (const std::uint32_t r : ids) {
     if (src.length(r) == 0 || query.empty()) continue;
     if (src.sequence_into(r, rec, scratch)) ++decode_reused;
-    const core::JobResult job = accelerator.run(query, rec);
+    const core::JobResult job = board.run(query, rec);
     out.cell_updates += job.stats.cell_updates;
     out.board_seconds += job.wall_seconds;
     out.board_cycles += job.stats.total_cycles;
@@ -78,6 +80,17 @@ ScanResult scan_source(core::SmithWatermanAccelerator& accelerator, const seq::S
   if (opt.metrics != nullptr && decode_reused != 0) {
     opt.metrics->counter("scan.db.decode_reuse").add(decode_reused);
   }
+  return out;
+}
+
+namespace {
+
+ScanResult scan_source(core::SmithWatermanAccelerator& accelerator, const seq::Sequence& query,
+                       const RecordSource& src, const ScanOptions& opt) {
+  src.check_alphabet(query, "scan_database");
+  std::vector<std::uint32_t> ids(src.size());
+  std::iota(ids.begin(), ids.end(), 0u);
+  ScanResult out = scan_records_board(accelerator, query, src, ids, opt);
   retrieve_alignments(query, src, accelerator.scoring(), opt, out);
   return out;
 }

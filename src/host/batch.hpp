@@ -8,8 +8,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "align/cigar.hpp"
@@ -189,8 +191,10 @@ struct ScanResult {
   std::vector<retrieve::Traceback> alignments;
 };
 
-/// Scans `records` with `query` on `accelerator`.
-/// @throws std::invalid_argument on bad options or alphabet mismatch.
+/// Scans `records` with `query` on `accelerator`: scan_records_board over
+/// every record in index order, then the retrieval phase.
+/// @throws std::invalid_argument on bad options, FilterMode::Seeded or
+/// alphabet mismatch.
 ScanResult scan_database(core::SmithWatermanAccelerator& accelerator, const seq::Sequence& query,
                          const std::vector<seq::Sequence>& records, const ScanOptions& opt);
 
@@ -199,6 +203,22 @@ ScanResult scan_database(core::SmithWatermanAccelerator& accelerator, const seq:
 /// sequences); hits are bit-identical to the vector overload.
 ScanResult scan_database(core::SmithWatermanAccelerator& accelerator, const seq::Sequence& query,
                          const db::Store& store, const ScanOptions& opt);
+
+/// The one board record loop, the twin of scan_records_cpu: scores the
+/// records `ids` names on `board`, one at a time, each materialised into
+/// one reused buffer (the board model consumes whole sequences). Sums
+/// cells, cycles and board seconds, applies min_score and DUST, and keeps
+/// the top-k under hit_ranks_before with the original record ids. Every
+/// board engine runs it: scan_database over all records, each board of
+/// scan_database_fleet over its dealt share, each board chunk of
+/// svc::ScanService over the chunk's ids. Score-only (`opt.align` is the
+/// caller's retrieval phase); the caller checks the database alphabet,
+/// and board.run rejects a mismatched record.
+/// @throws std::invalid_argument on bad options, FilterMode::Seeded (the
+/// board streams every record), or an id outside the source.
+ScanResult scan_records_board(core::SmithWatermanAccelerator& board, const seq::Sequence& query,
+                              const RecordSource& src, std::span<const std::uint32_t> ids,
+                              const ScanOptions& opt);
 
 /// Retrieval phase shared by every scan engine: traces back the first
 /// min(opt.max_hits, hits) ranked hits of `inout` through

@@ -15,17 +15,6 @@
 namespace swr::host {
 namespace {
 
-// One board's share of the scan: the records the dealer assigned to it,
-// scored on that board's own accelerator, folded into a private top-k.
-// Used by both the sequential and the threaded fleet paths so results
-// stay bit-identical.
-struct BoardPartial {
-  std::vector<Hit> hits;
-  std::uint64_t cell_updates = 0;
-  std::uint64_t board_cycles = 0;
-  double board_seconds = 0.0;
-};
-
 // Deals records to boards: walk the length-descending schedule (the
 // store's precomputed schedule_order; vector sources sort an index
 // permutation the same way) and hand each record to the currently
@@ -58,29 +47,6 @@ std::vector<std::vector<std::uint32_t>> deal_records(const RecordSource& src,
   return shares;
 }
 
-BoardPartial scan_board_share(core::SmithWatermanAccelerator& board,
-                              const std::vector<std::uint32_t>& share,
-                              const seq::Sequence& query, const RecordSource& src,
-                              const ScanOptions& opt) {
-  BoardPartial p;
-  for (const std::uint32_t r : share) {
-    if (src.length(r) == 0 || query.empty()) continue;
-    const seq::Sequence rec = src.sequence(r);
-    const core::JobResult job = board.run(query, rec);
-    p.cell_updates += job.stats.cell_updates;
-    p.board_cycles += job.stats.total_cycles;
-    p.board_seconds += job.wall_seconds;
-    if (job.best.score < opt.min_score) continue;
-
-    Hit hit;
-    hit.record = r;
-    hit.result = job.best;
-    hit.board_seconds = job.wall_seconds;
-    retrieve::topk_insert(p.hits, std::move(hit), opt.top_k, hit_ranks_before);
-  }
-  return p;
-}
-
 ScanResult scan_fleet_source(core::BoardFleet& fleet, const seq::Sequence& query,
                              const RecordSource& src, const ScanOptions& opt) {
   if (fleet.empty()) throw std::invalid_argument("scan_database_fleet: empty fleet");
@@ -88,18 +54,19 @@ ScanResult scan_fleet_source(core::BoardFleet& fleet, const seq::Sequence& query
   src.check_alphabet(query, "scan_database_fleet");
 
   // Each accelerator is stateful, so a board is the unit of parallelism:
-  // with opt.threads > 1 every pool worker drives whole boards. The
-  // record -> board deal (least-loaded over the length-descending
-  // schedule) and the per-board fold are the same either way, and the
-  // final merge is a total order, so hits are bit-identical to the
-  // sequential fleet scan.
+  // with opt.threads > 1 every pool worker drives whole boards. Each board
+  // scores its dealt share (least-loaded over the length-descending
+  // schedule) through the one board record loop into a private top-k,
+  // and the final merge is a total order, so hits are bit-identical to
+  // the sequential fleet scan and to scan_database.
   const std::vector<std::vector<std::uint32_t>> shares = deal_records(src, fleet.size());
-  std::vector<BoardPartial> partials(fleet.size());
+  std::vector<ScanResult> partials(fleet.size());
+  const auto scan_share = [&](std::size_t b) {
+    partials[b] = scan_records_board(*fleet[b], query, src, shares[b], opt);
+  };
   const std::size_t threads = std::min(opt.threads, fleet.size());
   if (threads <= 1) {
-    for (std::size_t b = 0; b < fleet.size(); ++b) {
-      partials[b] = scan_board_share(*fleet[b], shares[b], query, src, opt);
-    }
+    for (std::size_t b = 0; b < fleet.size(); ++b) scan_share(b);
   } else {
     std::mutex err_mu;
     std::exception_ptr first_error;
@@ -111,7 +78,7 @@ ScanResult scan_fleet_source(core::BoardFleet& fleet, const seq::Sequence& query
     for (std::size_t b = 0; b < fleet.size(); ++b) {
       tasks.emplace_back([&, b] {
         try {
-          partials[b] = scan_board_share(*fleet[b], shares[b], query, src, opt);
+          scan_share(b);
         } catch (...) {
           const std::lock_guard<std::mutex> lock(err_mu);
           if (!first_error) first_error = std::current_exception();
@@ -126,7 +93,7 @@ ScanResult scan_fleet_source(core::BoardFleet& fleet, const seq::Sequence& query
   ScanResult out;
   out.records_scanned = src.size();
   double busiest = 0.0;
-  for (BoardPartial& p : partials) {
+  for (ScanResult& p : partials) {
     out.cell_updates += p.cell_updates;
     out.board_cycles += p.board_cycles;
     busiest = std::max(busiest, p.board_seconds);
@@ -140,7 +107,7 @@ ScanResult scan_fleet_source(core::BoardFleet& fleet, const seq::Sequence& query
     opt.metrics->counter("fleet.records").add(out.records_scanned);
     opt.metrics->counter("fleet.cells").add(out.cell_updates);
     obs::Histogram& board_us = opt.metrics->histogram("fleet.board_modelled_us");
-    for (const BoardPartial& p : partials) board_us.observe_seconds(p.board_seconds);
+    for (const ScanResult& p : partials) board_us.observe_seconds(p.board_seconds);
   }
   // Retrieval replays against the scheme the boards scored with — every
   // board in a fleet shares one synthesis, so board 0 speaks for all.

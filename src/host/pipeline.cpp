@@ -13,10 +13,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-// Bytes of the board's result record: score (4) + end row (8) + end
-// column (4) + status (4).
-constexpr std::size_t kResultBytes = 20;
-
 }  // namespace
 
 template <typename Pe>
@@ -55,8 +51,8 @@ PipelineResult BasicHostPipeline<Pe>::align(const seq::Sequence& query, const se
     (forward_done ? out.reverse_stats : out.forward_stats) = job.stats;
     forward_done = true;
     // Each pass ships its result record back to the host.
-    out.bytes_from_board += kResultBytes;
-    out.timing.transfer_seconds += pci_.transfer(kResultBytes, BusDirection::FromBoard);
+    out.bytes_from_board += core::kResultBytes;
+    out.timing.transfer_seconds += pci_.transfer(core::kResultBytes, BusDirection::FromBoard);
     return job.best;
   };
 

@@ -54,16 +54,11 @@ class RecordSource {
     return store_ != nullptr ? store_->name(r) : std::string_view((*records_)[r].name());
   }
 
-  /// Owning Sequence for record `r` — the accelerator model and the DUST
-  /// filter want whole Sequence objects; the vector path returns a copy.
-  [[nodiscard]] seq::Sequence sequence(std::size_t r) const {
-    return store_ != nullptr ? store_->sequence(r) : (*records_)[r];
-  }
-
-  /// As sequence(), but materializing into `out` so its code buffer (and
-  /// `scratch`, for Packed2 stores) is reused across records instead of
-  /// allocated per call. Returns true when `out`'s capacity absorbed the
-  /// record without reallocating — the scan.db.decode_reuse metric.
+  /// Materializes record `r` as a whole Sequence (what the accelerator
+  /// model and the DUST filter consume) into `out`, so its code buffer
+  /// (and `scratch`, for Packed2 stores) is reused across records instead
+  /// of allocated per call. Returns true when `out`'s capacity absorbed
+  /// the record without reallocating — the scan.db.decode_reuse metric.
   bool sequence_into(std::size_t r, seq::Sequence& out, std::vector<seq::Code>& scratch) const {
     if (store_ != nullptr) {
       return out.assign(store_->alphabet(), store_->codes(r, scratch),

@@ -14,7 +14,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "core/accelerator.hpp"
 #include "core/topology.hpp"
 #include "host/scan_engine.hpp"
 #include "obs/metrics.hpp"
@@ -34,8 +33,9 @@ const char* to_string(QueryStatus s) noexcept {
 }
 
 void ServiceConfig::validate() const {
-  if (cpu_workers + boards == 0) {
-    throw std::invalid_argument("ServiceConfig: no execution units (cpu_workers + boards == 0)");
+  if (cpu_workers + fleet.boards == 0) {
+    throw std::invalid_argument(
+        "ServiceConfig: no execution units (cpu_workers + fleet.boards == 0)");
   }
   if (queue_capacity == 0) throw std::invalid_argument("ServiceConfig: zero queue_capacity");
   if (max_inflight == 0) throw std::invalid_argument("ServiceConfig: zero max_inflight");
@@ -174,6 +174,7 @@ struct ScanService::Impl {
   std::vector<core::WorkerPlacement> placement;
   std::vector<std::size_t> node_weights;
   std::vector<std::uint32_t> dispatch_order;  ///< what QueryState::ids views
+  core::BoardFleet boards;  ///< board b belongs to board executor thread b
   std::vector<std::thread> threads;
 
   // -- scheduler state, guarded by mu -------------------------------------
@@ -196,14 +197,13 @@ struct ScanService::Impl {
         topo(core::resolve_numa_topology(config.numa)),
         metrics(config.metrics, topo.has_value()) {
     cfg.validate();
-    // Catalog name wins over the raw pointer; both fall back to the
-    // paper's device. Resolution throws here (construction), not in the
-    // executor threads.
-    if (cfg.boards > 0 && !cfg.board_device_name.empty()) {
-      cfg.board_device = &core::device(cfg.board_device_name);
-    }
-    if (cfg.boards > 0 && cfg.board_device == nullptr) cfg.board_device = &core::xc2vp70();
     cfg.scoring.validate();
+    // Boards are built here, before any executor starts, so an unknown
+    // device or a PE count that does not fit throws from the constructor.
+    if (cfg.fleet.boards > 0) {
+      boards = core::make_board_fleet(cfg.fleet, cfg.scoring);
+      for (const auto& board : boards) board->bind_bus_metrics(cfg.metrics);
+    }
     paused = cfg.start_paused;
 
     // The dispatch permutation all queries chunk over: the store's
@@ -220,7 +220,7 @@ struct ScanService::Impl {
     // Every execution unit (CPU + board) is a placement unit: boards
     // materialize records out of the same payload the CPU kernels stream,
     // so both kinds prefer node-local chunks.
-    const std::size_t units = cfg.cpu_workers + cfg.boards;
+    const std::size_t units = cfg.cpu_workers + boards.size();
     if (topo.has_value()) {
       placement = core::place_workers(*topo, units);
       node_weights.assign(topo->nodes.size(), 0);
@@ -244,7 +244,7 @@ struct ScanService::Impl {
         executor_loop(/*board=*/nullptr, node);
       });
     }
-    for (std::size_t b = 0; b < cfg.boards; ++b) {
+    for (std::size_t b = 0; b < boards.size(); ++b) {
       const std::size_t unit = cfg.cpu_workers + b;
       threads.emplace_back([this, b, unit] {
         core::set_current_thread_name(("swr-svc-brd" + std::to_string(b)).c_str());
@@ -253,15 +253,7 @@ struct ScanService::Impl {
           core::pin_current_thread(placement[unit].cpus);
           node = placement[unit].node;
         }
-        core::SmithWatermanAccelerator board(*cfg.board_device, cfg.board_pes, cfg.scoring,
-                                             /*score_bits=*/16u, /*cycle_bits=*/32u,
-                                             /*charge_query_load=*/true,
-                                             /*shuffle_evaluation=*/false, cfg.board_sched);
-        if (cfg.board_bus) {
-          board.attach_bus(cfg.board_pci, cfg.board_dma);
-          board.bind_bus_metrics(cfg.metrics);
-        }
-        executor_loop(&board, node);
+        executor_loop(boards[b].get(), node);
       });
     }
   }
@@ -483,9 +475,9 @@ struct ScanService::Impl {
       std::string error;
       try {
         const std::span<const std::uint32_t> chunk_ids = q->ids.subspan(lo, hi - lo);
-        part = board != nullptr ? scan_chunk_board(*board, *q, chunk_ids)
-                                : host::scan_records_cpu(q->query, source, chunk_ids,
-                                                         cfg.scoring, q->opt);
+        part = board != nullptr
+                   ? host::scan_records_board(*board, q->query, source, chunk_ids, q->opt)
+                   : host::scan_records_cpu(q->query, source, chunk_ids, cfg.scoring, q->opt);
       } catch (const std::exception& e) {
         error = e.what();
       }
@@ -575,35 +567,6 @@ struct ScanService::Impl {
     if (q->inflight == 0 && live.count(q->id) != 0) resolve_locked(*q);
   }
 
-  // A board's version of one chunk: materialize each record out of the
-  // source, run the cycle-level model, fold hits exactly like the batch
-  // scanner. Scores equal the CPU kernels' (both reproduce sw_linear), so
-  // chunk placement cannot change a query's final hits.
-  host::ScanResult scan_chunk_board(core::SmithWatermanAccelerator& board, const QueryState& q,
-                                    std::span<const std::uint32_t> chunk_ids) {
-    host::ScanResult out;
-    out.records_scanned = chunk_ids.size();
-    for (const std::uint32_t r : chunk_ids) {
-      if (source.length(r) == 0 || q.query.empty()) continue;
-      const seq::Sequence rec = source.sequence(r);
-      const core::JobResult job = board.run(q.query, rec);
-      out.cell_updates += job.stats.cell_updates;
-      out.board_seconds += job.wall_seconds;
-      out.board_cycles += job.stats.total_cycles;
-      if (job.best.score < q.opt.min_score) continue;
-      if (host::dust_suppressed(rec, job.best.end, q.opt)) continue;
-      host::Hit hit;
-      hit.record = r;
-      hit.result = job.best;
-      hit.board_seconds = job.wall_seconds;
-      const auto pos =
-          std::upper_bound(out.hits.begin(), out.hits.end(), hit, host::hit_ranks_before);
-      out.hits.insert(pos, std::move(hit));
-      if (out.hits.size() > q.opt.top_k) out.hits.pop_back();
-    }
-    return out;
-  }
-
   static void fold(host::ScanResult& acc, host::ScanResult& part) {
     acc.records_scanned += part.records_scanned;
     acc.cell_updates += part.cell_updates;
@@ -633,6 +596,11 @@ std::optional<Ticket> ScanService::try_submit(seq::Sequence query, host::ScanOpt
   opt.metrics = nullptr;  // service-level metrics come from cfg.metrics, not per-chunk scan.*
   opt.validate();
   impl_->source.check_alphabet(query, "ScanService::submit");
+  if (opt.filter == host::FilterMode::Seeded && !impl_->boards.empty()) {
+    throw std::invalid_argument(
+        "ScanService::submit: --filter seeded runs on CPU workers only; this service has "
+        "board executors, which stream every record");
+  }
 
   auto q = std::make_shared<QueryState>();
   q->query = std::move(query);

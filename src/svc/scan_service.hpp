@@ -37,12 +37,10 @@
 #include <vector>
 
 #include "align/scoring.hpp"
-#include "core/device.hpp"
+#include "core/multiboard.hpp"
 #include "db/store.hpp"
 #include "host/batch.hpp"
-#include "host/pci.hpp"
 #include "host/record_source.hpp"
-#include "hw/sched.hpp"
 #include "seq/sequence.hpp"
 
 namespace swr::obs {
@@ -65,28 +63,14 @@ const char* to_string(QueryStatus s) noexcept;
 /// Service configuration.
 struct ServiceConfig {
   std::size_t cpu_workers = 2;  ///< CPU scan-engine executor threads
-  std::size_t boards = 0;       ///< accelerator board executor threads
-  const core::FpgaDevice* board_device = nullptr;  ///< defaults to xc2vp70
-  std::size_t board_pes = 100;  ///< PEs per board
 
-  /// Catalog name for the board device ("xc2vp70", ...). When non-empty
-  /// it is resolved through core::device_catalog() at construction and
-  /// takes precedence over `board_device`. @throws (from the constructor)
-  /// std::invalid_argument on an unknown name.
-  std::string board_device_name;
-
-  /// Simulation scheduler for the board models (hw/sched.hpp): dense is
-  /// the evaluate-all oracle, event the activity-driven fast path. Hits
-  /// and cycle counts are bit-identical either way; defaults to the
-  /// SWR_HW_SCHED process default.
-  hw::SchedMode board_sched = hw::default_sched_mode();
-
-  /// Model the host<->board bus on every board executor: per-job DMA
-  /// double-buffered stream timing folded into board_seconds. Off keeps
-  /// compute-only board times.
-  bool board_bus = false;
-  host::PciConfig board_pci{};
-  host::DmaConfig board_dma{};
+  /// Accelerator board executors: one thread per board, each driving one
+  /// board that core::make_board_fleet builds at construction (catalog
+  /// device, PEs per board, simulation scheduler, optional DMA bus model).
+  /// `fleet.boards == 0`, the default, serves on CPU workers only.
+  /// @throws (from the constructor) std::invalid_argument on an unknown
+  /// device or a PE count that does not fit it.
+  core::FleetOptions fleet{.boards = 0};
 
   std::size_t queue_capacity = 64;  ///< max live (unfinished) queries
   std::size_t max_inflight = 4;     ///< queries dispatched concurrently
@@ -160,7 +144,9 @@ class ScanService {
   /// Admits a query, or returns nullopt when the admission queue is full.
   /// `opt.threads` is ignored (chunks are the unit of parallelism here);
   /// a zero `deadline` means none. @throws std::invalid_argument on bad
-  /// scan options or a query/database alphabet mismatch.
+  /// scan options, a query/database alphabet mismatch, or a seeded query
+  /// on a service with boards (a board streams every record, so its
+  /// chunks cannot honour the filter).
   std::optional<Ticket> try_submit(seq::Sequence query, host::ScanOptions opt,
                                    std::chrono::milliseconds deadline = {});
 

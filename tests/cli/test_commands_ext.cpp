@@ -269,6 +269,31 @@ TEST(CliSwdb, UsageErrors) {
   EXPECT_NE(run("swdb", {"build", "only_one_arg.fa"}).code, 0);
 }
 
+// A board the device cannot hold fails the service's constructor: a
+// runtime error (exit 1) through the CLI's handler, as for
+// `align --engine accel`, never an abort from an executor thread.
+std::string board_fit_store(const std::string& stem) {
+  const std::string swdb = testing::TempDir() + "/" + stem + ".swdb";
+  EXPECT_EQ(run("swdb", {"build", write_fa(stem, swdb_db_records()), swdb}).code, 0);
+  return swdb;
+}
+
+TEST(CliScanBatch, BoardThatDoesNotFitIsARuntimeError) {
+  const std::string swdb = board_fit_store("cli_batch_fit_db");
+  const std::string q = write_fa("cli_batch_fit_q", {seq::Sequence::dna("ACGTACGTACGT", "q")});
+  const RunResult r = run("scan", {q, swdb, "--batch", "--boards", "1", "--pes", "100000"});
+  EXPECT_EQ(r.code, 1) << r.out;
+  EXPECT_NE(r.err.find("do not fit"), std::string::npos) << r.err;
+}
+
+TEST(CliServe, BoardThatDoesNotFitIsARuntimeError) {
+  const std::string swdb = board_fit_store("cli_serve_fit_db");
+  const RunResult r =
+      run("serve", {"--db", swdb, "--boards", "1", "--pes", "100000", "--port", "0"});
+  EXPECT_EQ(r.code, 1) << r.out;
+  EXPECT_NE(r.err.find("do not fit"), std::string::npos) << r.err;
+}
+
 TEST(CliScanBatch, ServesEveryQueryIdenticallyToSingleScans) {
   const auto recs = swdb_db_records();
   const std::string fa = write_fa("cli_batch_db", recs);

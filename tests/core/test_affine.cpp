@@ -22,7 +22,7 @@ align::AffineScoring default_affine() {
 }
 
 TEST(AffineController, SmallExample) {
-  ArrayController<AffinePe> ctl(8, 16, default_affine(), 1 << 20, true, false);
+  ArrayController<AffinePe> ctl(8, 16, default_affine(), 1 << 20, true);
   const seq::Sequence q = seq::Sequence::dna("ACGTCC");
   const seq::Sequence db = seq::Sequence::dna("ACGTACGT");
   const align::LocalScoreResult hw = ctl.run(q, db);
@@ -37,7 +37,7 @@ TEST_P(AffineEquivalence, MatchesGotohOracle) {
   const auto [m, n, npes, seed] = GetParam();
   const seq::Sequence query = swr::test::random_dna(m, seed * 13 + 3);
   const seq::Sequence db = swr::test::random_dna(n, seed * 17 + 4);
-  ArrayController<AffinePe> ctl(npes, 16, default_affine(), 4 << 20, true, false);
+  ArrayController<AffinePe> ctl(npes, 16, default_affine(), 4 << 20, true);
   const align::LocalScoreResult hw = ctl.run(query, db);
   const align::LocalScoreResult sw =
       align::gotoh_local_score(db.codes(), query.codes(), default_affine());
@@ -64,7 +64,7 @@ TEST(AffineController, PartitionedLongGapAcrossChunkBoundary) {
   // alignment must carry E across column 4.
   const seq::Sequence q = seq::Sequence::dna("ACGTTGCA");
   const seq::Sequence db = seq::Sequence::dna("ACGTGGTTGCA");
-  ArrayController<AffinePe> ctl(4, 16, sc, 1 << 20, true, false);
+  ArrayController<AffinePe> ctl(4, 16, sc, 1 << 20, true);
   EXPECT_EQ(ctl.run(q, db), align::gotoh_local_score(db.codes(), q.codes(), sc));
   EXPECT_EQ(ctl.run_stats().passes, 2u);
 }
@@ -76,7 +76,7 @@ TEST(AffineController, ProteinBlosum62) {
   sc.gap_extend = -1;
   const seq::Sequence q = swr::test::random_protein(24, 7);
   const seq::Sequence db = swr::test::random_protein(90, 8);
-  ArrayController<AffinePe> ctl(10, 16, sc, 1 << 20, true, false);  // 3 passes
+  ArrayController<AffinePe> ctl(10, 16, sc, 1 << 20, true);  // 3 passes
   EXPECT_EQ(ctl.run(q, db), align::gotoh_local_score(db.codes(), q.codes(), sc));
 }
 

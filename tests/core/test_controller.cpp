@@ -20,7 +20,7 @@ using namespace swr::core;
 const align::Scoring kSc = align::Scoring::paper_default();
 
 TEST(Controller, Figure2Example) {
-  ArrayController<ScorePe> ctl(7, 16, kSc, 1 << 20, true, false);
+  ArrayController<ScorePe> ctl(7, 16, kSc, 1 << 20, true);
   const seq::Sequence query = seq::Sequence::dna("TATGGAC");
   const seq::Sequence db = seq::Sequence::dna("TAGTGACT");
   const align::LocalScoreResult hw = ctl.run(query, db);
@@ -28,13 +28,13 @@ TEST(Controller, Figure2Example) {
 }
 
 TEST(Controller, EmptyInputs) {
-  ArrayController<ScorePe> ctl(4, 16, kSc, 1 << 20, true, false);
+  ArrayController<ScorePe> ctl(4, 16, kSc, 1 << 20, true);
   EXPECT_EQ(ctl.run(seq::Sequence::dna(""), seq::Sequence::dna("ACGT")).score, 0);
   EXPECT_EQ(ctl.run(seq::Sequence::dna("ACGT"), seq::Sequence::dna("")).score, 0);
 }
 
 TEST(Controller, AlphabetMismatchRejected) {
-  ArrayController<ScorePe> ctl(4, 16, kSc, 1 << 20, true, false);
+  ArrayController<ScorePe> ctl(4, 16, kSc, 1 << 20, true);
   EXPECT_THROW((void)ctl.run(seq::Sequence::dna("ACGT"), seq::Sequence::protein("ARND")),
                std::invalid_argument);
 }
@@ -50,7 +50,7 @@ TEST_P(ControllerEquivalence, MatchesSoftwareOracle) {
   const auto [m, n, npes, seed] = GetParam();
   const seq::Sequence query = swr::test::random_dna(m, seed * 7 + 1);
   const seq::Sequence db = swr::test::random_dna(n, seed * 11 + 2);
-  ArrayController<ScorePe> ctl(npes, 16, kSc, 4 << 20, true, false);
+  ArrayController<ScorePe> ctl(npes, 16, kSc, 4 << 20, true);
   const align::LocalScoreResult hw = ctl.run(query, db);
   const align::LocalScoreResult sw = align::sw_linear(db, query, kSc);
   EXPECT_EQ(hw, sw) << "m=" << m << " n=" << n << " npes=" << npes;
@@ -64,22 +64,12 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values<std::size_t>(1, 4, 8, 16),
                      testing::Values<std::uint64_t>(1, 2)));
 
-TEST(Controller, ShuffledEvaluationOrderGivesIdenticalResults) {
-  // Two-phase design: randomising module evaluation order every cycle
-  // must not change anything.
-  const seq::Sequence query = swr::test::random_dna(30, 5);
-  const seq::Sequence db = swr::test::random_dna(70, 6);
-  ArrayController<ScorePe> fixed(8, 16, kSc, 1 << 20, true, false);
-  ArrayController<ScorePe> shuffled(8, 16, kSc, 1 << 20, true, true);
-  EXPECT_EQ(fixed.run(query, db), shuffled.run(query, db));
-}
-
 TEST(Controller, MeasuredCyclesMatchAnalyticModel) {
   for (const auto& [m, n, npes] : std::vector<std::tuple<std::size_t, std::size_t, std::size_t>>{
            {5, 20, 8}, {8, 20, 8}, {17, 33, 8}, {100, 250, 32}}) {
     const seq::Sequence query = swr::test::random_dna(m, 50);
     const seq::Sequence db = swr::test::random_dna(n, 51);
-    ArrayController<ScorePe> ctl(npes, 16, kSc, 4 << 20, true, false);
+    ArrayController<ScorePe> ctl(npes, 16, kSc, 4 << 20, true);
     (void)ctl.run(query, db);
     const RunStats& st = ctl.run_stats();
     const CyclePrediction p = predict_cycles(m, n, npes, true);
@@ -93,7 +83,7 @@ TEST(Controller, MeasuredCyclesMatchAnalyticModel) {
 
 TEST(Controller, RepeatedRunsAreIndependent) {
   // State from a previous job must not leak into the next.
-  ArrayController<ScorePe> ctl(8, 16, kSc, 1 << 20, true, false);
+  ArrayController<ScorePe> ctl(8, 16, kSc, 1 << 20, true);
   const seq::Sequence q1 = swr::test::random_dna(12, 60);
   const seq::Sequence d1 = swr::test::random_dna(40, 61);
   const seq::Sequence q2 = swr::test::random_dna(20, 62);
@@ -107,13 +97,13 @@ TEST(Controller, NarrowWidthSaturatesAndReportsIt) {
   // A 4-bit datapath cannot represent the score of a 40-base perfect
   // match; the run must saturate (visible in stats) and pin at the rail.
   const seq::Sequence q = swr::test::random_dna(40, 70);
-  ArrayController<ScorePe> ctl(40, 4, kSc, 1 << 20, true, false);
+  ArrayController<ScorePe> ctl(40, 4, kSc, 1 << 20, true);
   const align::LocalScoreResult hw = ctl.run(q, q);
   EXPECT_EQ(hw.score, 7);  // 4-bit positive rail
   EXPECT_GT(ctl.run_stats().saturations, 0u);
 
   // The same workload at 16 bits is exact and saturation-free.
-  ArrayController<ScorePe> wide(40, 16, kSc, 1 << 20, true, false);
+  ArrayController<ScorePe> wide(40, 16, kSc, 1 << 20, true);
   const align::LocalScoreResult exact = wide.run(q, q);
   EXPECT_EQ(exact.score, 40);
   EXPECT_EQ(wide.run_stats().saturations, 0u);
@@ -121,7 +111,7 @@ TEST(Controller, NarrowWidthSaturatesAndReportsIt) {
 
 TEST(Controller, SramOverflowIsLoudForOversizedJobs) {
   // 1 KB board SRAM cannot hold a 4 KB database.
-  ArrayController<ScorePe> ctl(8, 16, kSc, 1024, true, false);
+  ArrayController<ScorePe> ctl(8, 16, kSc, 1024, true);
   const seq::Sequence q = swr::test::random_dna(8, 80);
   const seq::Sequence db = swr::test::random_dna(4096, 81);
   EXPECT_THROW((void)ctl.run(q, db), std::length_error);
@@ -129,7 +119,7 @@ TEST(Controller, SramOverflowIsLoudForOversizedJobs) {
 
 TEST(Controller, PartitionedRunUsesBoundarySram) {
   // Multi-pass jobs must allocate the boundary ping-pong buffers.
-  ArrayController<ScorePe> ctl(8, 16, kSc, 1 << 20, true, false);
+  ArrayController<ScorePe> ctl(8, 16, kSc, 1 << 20, true);
   const seq::Sequence q = swr::test::random_dna(20, 90);
   const seq::Sequence db = swr::test::random_dna(50, 91);
   (void)ctl.run(q, db);
@@ -148,7 +138,7 @@ TEST(Controller, PlantedWorkloadCoordinatesAreGroundTruth) {
   spec.plant_substitution_rate = 0.03;
   spec.seed = 17;
   const seq::PlantedWorkload wl = seq::make_planted_workload(spec);
-  ArrayController<ScorePe> ctl(32, 16, kSc, 1 << 20, true, false);  // forces 2 passes
+  ArrayController<ScorePe> ctl(32, 16, kSc, 1 << 20, true);  // forces 2 passes
   const align::LocalScoreResult hw = ctl.run(wl.query, wl.database);
   EXPECT_EQ(hw, align::sw_linear(wl.database, wl.query, kSc));
   EXPECT_GE(hw.end.i, wl.plant_begin);
@@ -164,7 +154,7 @@ TEST(Controller, ProteinSubstitutionMatrixScoring) {
   sc.gap = -8;
   const seq::Sequence query = swr::test::random_protein(37, 301);
   const seq::Sequence db = swr::test::random_protein(150, 302);
-  ArrayController<ScorePe> ctl(16, 16, sc, 1 << 20, true, false);  // 3 passes
+  ArrayController<ScorePe> ctl(16, 16, sc, 1 << 20, true);  // 3 passes
   EXPECT_EQ(ctl.run(query, db), align::sw_linear(db, query, sc));
 }
 

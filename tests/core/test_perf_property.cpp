@@ -47,8 +47,7 @@ TEST(PerfProperty, MeasuredCyclesMatchPredictionOnRandomShapes) {
     const JobShape s = draw(rng);
     const seq::Sequence query = swr::test::random_dna(s.m, 1000 + trial * 2);
     const seq::Sequence db = swr::test::random_dna(s.n, 1001 + trial * 2);
-    ArrayController<ScorePe> ctl(s.npes, s.score_bits, kSc, 8 << 20, s.charge_load,
-                                 /*shuffle=*/false, s.sched);
+    ArrayController<ScorePe> ctl(s.npes, s.score_bits, kSc, 8 << 20, s.charge_load, s.sched);
     (void)ctl.run(query, db);
     const RunStats& st = ctl.run_stats();
     const CyclePrediction p = predict_cycles(s.m, s.n, s.npes, s.charge_load);
@@ -81,7 +80,7 @@ TEST(PerfProperty, MultiPassShapesAgreeAndScoresStayExact) {
     const CyclePrediction p = predict_cycles(m, n, npes, true);
     ASSERT_GT(p.passes, 1u);
     for (const hw::SchedMode sched : {hw::SchedMode::Dense, hw::SchedMode::Event}) {
-      ArrayController<ScorePe> ctl(npes, 16, kSc, 8 << 20, true, false, sched);
+      ArrayController<ScorePe> ctl(npes, 16, kSc, 8 << 20, true, sched);
       EXPECT_EQ(ctl.run(query, db), oracle);
       EXPECT_EQ(ctl.run_stats().total_cycles, p.total_cycles)
           << "m=" << m << " n=" << n << " npes=" << npes << " sched="
@@ -103,7 +102,7 @@ TEST(PerfProperty, EventActivityIsBoundedByWavefrontWidth) {
     const seq::Sequence query = swr::test::random_dna(m, 3000 + trial);
     const seq::Sequence db = swr::test::random_dna(n, 3100 + trial);
 
-    ArrayController<ScorePe> ctl(npes, 16, kSc, 8 << 20, true, false, hw::SchedMode::Event);
+    ArrayController<ScorePe> ctl(npes, 16, kSc, 8 << 20, true, hw::SchedMode::Event);
     std::size_t max_active = 0;
     ctl.set_observer([&](const SystolicArray<ScorePe>& arr, std::uint64_t) {
       std::size_t active = 0;

@@ -18,7 +18,7 @@ TEST(QueryPacking, EachQueryMatchesItsSoloRun) {
   for (std::uint64_t s = 0; s < 4; ++s) {
     queries.push_back(swr::test::random_dna(10 + 5 * s, 100 + s));
   }
-  ArrayController<ScorePe> ctl(80, 16, kSc, 1 << 20, true, false);
+  ArrayController<ScorePe> ctl(80, 16, kSc, 1 << 20, true);
   const auto batch = ctl.run_batch(queries, db);
   ASSERT_EQ(batch.size(), queries.size());
   for (std::size_t k = 0; k < queries.size(); ++k) {
@@ -32,7 +32,7 @@ TEST(QueryPacking, BarriersIsolateNeighbours) {
   const seq::Sequence db = seq::Sequence::dna("ACGTACGTAC");
   const std::vector<seq::Sequence> queries = {seq::Sequence::dna("ACGTA"),
                                               seq::Sequence::dna("CGTAC")};
-  ArrayController<ScorePe> ctl(16, 16, kSc, 1 << 20, true, false);
+  ArrayController<ScorePe> ctl(16, 16, kSc, 1 << 20, true);
   const auto batch = ctl.run_batch(queries, db);
   EXPECT_EQ(batch[0], align::sw_linear(db, queries[0], kSc));
   EXPECT_EQ(batch[1], align::sw_linear(db, queries[1], kSc));
@@ -43,7 +43,7 @@ TEST(QueryPacking, BarriersIsolateNeighbours) {
 TEST(QueryPacking, OnePassForTheWholeBatch) {
   const seq::Sequence db = swr::test::random_dna(300, 2);
   std::vector<seq::Sequence> queries(5, swr::test::random_dna(8, 3));
-  ArrayController<ScorePe> ctl(64, 16, kSc, 1 << 20, true, false);
+  ArrayController<ScorePe> ctl(64, 16, kSc, 1 << 20, true);
   (void)ctl.run_batch(queries, db);
   EXPECT_EQ(ctl.run_stats().passes, 1u);
 
@@ -58,7 +58,7 @@ TEST(QueryPacking, OnePassForTheWholeBatch) {
 }
 
 TEST(QueryPacking, OverflowAndEmptyHandling) {
-  ArrayController<ScorePe> ctl(10, 16, kSc, 1 << 20, true, false);
+  ArrayController<ScorePe> ctl(10, 16, kSc, 1 << 20, true);
   const seq::Sequence db = swr::test::random_dna(50, 4);
   // 6 + 1 barrier + 6 = 13 > 10 PEs.
   const std::vector<seq::Sequence> too_big = {swr::test::random_dna(6, 5),
@@ -75,7 +75,7 @@ TEST(QueryPacking, EmptyQueryInBatchIsHarmless) {
   const seq::Sequence db = swr::test::random_dna(100, 8);
   const std::vector<seq::Sequence> queries = {seq::Sequence::dna(""),
                                               swr::test::random_dna(12, 9)};
-  ArrayController<ScorePe> ctl(20, 16, kSc, 1 << 20, true, false);
+  ArrayController<ScorePe> ctl(20, 16, kSc, 1 << 20, true);
   const auto batch = ctl.run_batch(queries, db);
   EXPECT_EQ(batch[0].score, 0);
   EXPECT_EQ(batch[1], align::sw_linear(db, queries[1], kSc));
@@ -93,7 +93,7 @@ TEST(QueryPacking, PackedMixedSizesFuzz) {
       queries.push_back(swr::test::random_dna(qlen(rng), rng()));
     }
     const seq::Sequence db = swr::test::random_dna(dblen(rng), rng());
-    ArrayController<ScorePe> ctl(80, 16, kSc, 1 << 20, true, false);
+    ArrayController<ScorePe> ctl(80, 16, kSc, 1 << 20, true);
     const auto batch = ctl.run_batch(queries, db);
     for (std::size_t k = 0; k < nq; ++k) {
       EXPECT_EQ(batch[k], align::sw_linear(db, queries[k], kSc))

@@ -67,8 +67,7 @@ struct Trace {
 template <typename Pe, typename Scoring>
 Trace<Pe, Scoring> run_traced(hw::SchedMode sched, const Scoring& sc, std::size_t npes,
                               const seq::Sequence& query, const seq::Sequence& db) {
-  ArrayController<Pe> ctl(npes, 16, sc, 4 << 20, /*charge_query_load=*/true,
-                          /*shuffle=*/false, sched);
+  ArrayController<Pe> ctl(npes, 16, sc, 4 << 20, /*charge_query_load=*/true, sched);
   Trace<Pe, Scoring> t;
   ctl.set_observer([&t](const SystolicArray<Pe>& arr, std::uint64_t cycle) {
     t.probes.push_back(probe(arr, cycle));
@@ -144,8 +143,8 @@ TEST(SchedParity, PackedBatchIsBitIdentical) {
   std::vector<seq::Sequence> queries;
   for (std::size_t k = 0; k < 3; ++k) queries.push_back(swr::test::random_dna(6 + k, 411 + k));
 
-  ArrayController<ScorePe> dense(24, 16, kSc, 1 << 20, true, false, hw::SchedMode::Dense);
-  ArrayController<ScorePe> event(24, 16, kSc, 1 << 20, true, false, hw::SchedMode::Event);
+  ArrayController<ScorePe> dense(24, 16, kSc, 1 << 20, true, hw::SchedMode::Dense);
+  ArrayController<ScorePe> event(24, 16, kSc, 1 << 20, true, hw::SchedMode::Event);
   const auto dres = dense.run_batch(queries, db);
   const auto eres = event.run_batch(queries, db);
   ASSERT_EQ(dres.size(), eres.size());
@@ -156,7 +155,7 @@ TEST(SchedParity, PackedBatchIsBitIdentical) {
 TEST(SchedParity, BackToBackJobsDoNotLeakSchedulerState) {
   // The event bookkeeping (active span, drain snapshot/cursor) must reset
   // with the array: replaying a job after a different one is identical.
-  ArrayController<ScorePe> ctl(8, 16, kSc, 1 << 20, true, false, hw::SchedMode::Event);
+  ArrayController<ScorePe> ctl(8, 16, kSc, 1 << 20, true, hw::SchedMode::Event);
   const seq::Sequence q1 = swr::test::random_dna(12, 420);
   const seq::Sequence d1 = swr::test::random_dna(40, 421);
   const seq::Sequence q2 = swr::test::random_dna(20, 422);
@@ -181,8 +180,8 @@ TEST(SchedParity, EventDoesStrictlyLessWorkOnShortStreams) {
 }
 
 TEST(SchedParity, SchedModeIsReported) {
-  ArrayController<ScorePe> dense(4, 16, kSc, 1 << 20, true, false, hw::SchedMode::Dense);
-  ArrayController<ScorePe> event(4, 16, kSc, 1 << 20, true, false, hw::SchedMode::Event);
+  ArrayController<ScorePe> dense(4, 16, kSc, 1 << 20, true, hw::SchedMode::Dense);
+  ArrayController<ScorePe> event(4, 16, kSc, 1 << 20, true, hw::SchedMode::Event);
   EXPECT_EQ(dense.sched_mode(), hw::SchedMode::Dense);
   EXPECT_EQ(event.sched_mode(), hw::SchedMode::Event);
 }

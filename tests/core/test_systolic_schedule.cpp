@@ -28,8 +28,7 @@ TEST(SystolicSchedule, AntiDiagonalWavefront) {
   const seq::Sequence db = seq::Sequence::dna("CTTAG");
   const align::Scoring sc = align::Scoring::paper_default();
 
-  ArrayController<ScorePe> ctl(5, 16, sc, 1 << 20, /*charge_query_load=*/false,
-                               /*shuffle=*/false);
+  ArrayController<ScorePe> ctl(5, 16, sc, 1 << 20, /*charge_query_load=*/false);
   std::vector<Emission> emissions;
   ctl.set_observer([&](const SystolicArray<ScorePe>& arr, std::uint64_t cycle) {
     for (std::size_t j = 0; j < arr.size(); ++j) {
@@ -60,7 +59,7 @@ TEST(SystolicSchedule, MaximumParallelismOnLongDiagonals) {
   // figure 3(c)'s full-parallelism phase.
   const seq::Sequence query = swr::test::random_dna(8, 1);
   const seq::Sequence db = swr::test::random_dna(32, 2);
-  ArrayController<ScorePe> ctl(8, 16, align::Scoring::paper_default(), 1 << 20, false, false);
+  ArrayController<ScorePe> ctl(8, 16, align::Scoring::paper_default(), 1 << 20, false);
   std::size_t max_active = 0;
   ctl.set_observer([&](const SystolicArray<ScorePe>& arr, std::uint64_t) {
     std::size_t active = 0;
@@ -76,7 +75,7 @@ TEST(SystolicSchedule, MaximumParallelismOnLongDiagonals) {
 TEST(SystolicSchedule, TotalValidEmissionsEqualCellCount) {
   const seq::Sequence query = swr::test::random_dna(6, 3);
   const seq::Sequence db = swr::test::random_dna(17, 4);
-  ArrayController<ScorePe> ctl(6, 16, align::Scoring::paper_default(), 1 << 20, false, false);
+  ArrayController<ScorePe> ctl(6, 16, align::Scoring::paper_default(), 1 << 20, false);
   std::uint64_t emissions = 0;
   ctl.set_observer([&](const SystolicArray<ScorePe>& arr, std::uint64_t) {
     for (std::size_t j = 0; j < arr.size(); ++j) {
@@ -108,7 +107,7 @@ TEST(SystolicSchedule, ActiveSetCoversEveryObservableStateChange) {
   // equivalence is pinned by the SchedParity lockstep suite).
   const seq::Sequence query = swr::test::random_dna(7, 7);
   const seq::Sequence db = swr::test::random_dna(23, 8);
-  ArrayController<ScorePe> ctl(8, 16, align::Scoring::paper_default(), 1 << 20, true, false,
+  ArrayController<ScorePe> ctl(8, 16, align::Scoring::paper_default(), 1 << 20, true,
                                hw::SchedMode::Event);
 
   const auto snap = [](const ScorePe& pe) {
@@ -141,9 +140,9 @@ TEST(SystolicSchedule, EventSchedulerSkipsIdlePes) {
   // scheduler). Dense charges N per clock by definition.
   const seq::Sequence query = swr::test::random_dna(32, 9);
   const seq::Sequence db = swr::test::random_dna(4, 10);
-  ArrayController<ScorePe> ev(32, 16, align::Scoring::paper_default(), 1 << 20, false, false,
+  ArrayController<ScorePe> ev(32, 16, align::Scoring::paper_default(), 1 << 20, false,
                               hw::SchedMode::Event);
-  ArrayController<ScorePe> dn(32, 16, align::Scoring::paper_default(), 1 << 20, false, false,
+  ArrayController<ScorePe> dn(32, 16, align::Scoring::paper_default(), 1 << 20, false,
                               hw::SchedMode::Dense);
   EXPECT_EQ(ev.run(query, db), dn.run(query, db));
   EXPECT_EQ(ev.run_stats().total_cycles, dn.run_stats().total_cycles);
@@ -157,7 +156,7 @@ TEST(SystolicSchedule, BaseStreamPropagatesUnchanged) {
   // unmodified (figure 4's flowing sequence).
   const seq::Sequence query = swr::test::random_dna(4, 5);
   const seq::Sequence db = swr::test::random_dna(10, 6);
-  ArrayController<ScorePe> ctl(4, 16, align::Scoring::paper_default(), 1 << 20, false, false);
+  ArrayController<ScorePe> ctl(4, 16, align::Scoring::paper_default(), 1 << 20, false);
   std::map<std::size_t, std::vector<seq::Code>> seen;  // pe -> bases in order
   ctl.set_observer([&](const SystolicArray<ScorePe>& arr, std::uint64_t) {
     for (std::size_t j = 0; j < arr.size(); ++j) {

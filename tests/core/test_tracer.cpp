@@ -11,7 +11,7 @@ using namespace swr;
 using namespace swr::core;
 
 TEST(ArrayTracer, ProducesVcdForARun) {
-  ArrayController<ScorePe> ctl(4, 16, align::Scoring::paper_default(), 1 << 20, false, false);
+  ArrayController<ScorePe> ctl(4, 16, align::Scoring::paper_default(), 1 << 20, false);
   std::ostringstream vcd;
   ArrayTracer tracer(vcd);
   tracer.attach(ctl);
@@ -27,7 +27,7 @@ TEST(ArrayTracer, ProducesVcdForARun) {
 }
 
 TEST(ArrayTracer, SignalLimitCapsProbes) {
-  ArrayController<ScorePe> ctl(8, 16, align::Scoring::paper_default(), 1 << 20, false, false);
+  ArrayController<ScorePe> ctl(8, 16, align::Scoring::paper_default(), 1 << 20, false);
   std::ostringstream vcd;
   ArrayTracer tracer(vcd, /*signal_limit=*/2);
   tracer.attach(ctl);
@@ -38,7 +38,7 @@ TEST(ArrayTracer, SignalLimitCapsProbes) {
 }
 
 TEST(ArrayTracer, DoubleAttachRejected) {
-  ArrayController<ScorePe> ctl(2, 16, align::Scoring::paper_default(), 1 << 20, false, false);
+  ArrayController<ScorePe> ctl(2, 16, align::Scoring::paper_default(), 1 << 20, false);
   std::ostringstream vcd;
   ArrayTracer tracer(vcd);
   tracer.attach(ctl);

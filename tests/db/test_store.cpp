@@ -195,7 +195,7 @@ TEST(SwdbStore, ScanParityEveryEngine) {
   expect_same_hits(host::scan_database(acc, query, recs, opt),
                    host::scan_database(acc, query, store, opt));
 
-  core::BoardFleet fleet = core::make_board_fleet(core::xc2vp70(), 3, 32, sc);
+  core::BoardFleet fleet = core::make_board_fleet({.boards = 3, .pes_per_board = 32}, sc);
   expect_same_hits(host::scan_database_fleet(fleet, query, recs, opt),
                    host::scan_database_fleet(fleet, query, store, opt));
 }

@@ -3,9 +3,11 @@
 #include "db/builder.hpp"
 #include "db/store.hpp"
 #include "host/fleet_scan.hpp"
+#include "host/scan_engine.hpp"
 #include "retrieve/topk.hpp"
 #include "seq/mutate.hpp"
 #include "seq/random.hpp"
+#include "svc/scan_service.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -39,7 +41,8 @@ TEST(FleetScan, HitsIdenticalToSingleBoardScan) {
   const ScanResult single = scan_database(solo, fx.query, fx.records, opt);
 
   for (const std::size_t boards : {1u, 2u, 3u, 5u}) {
-    core::BoardFleet fleet = core::make_board_fleet(core::xc2vp70(), boards, 40, kSc);
+    core::BoardFleet fleet =
+        core::make_board_fleet({.boards = boards, .pes_per_board = 40}, kSc);
     const ScanResult fr = scan_database_fleet(fleet, fx.query, fx.records, opt);
     ASSERT_EQ(fr.hits.size(), single.hits.size()) << boards << " boards";
     for (std::size_t k = 0; k < fr.hits.size(); ++k) {
@@ -54,8 +57,8 @@ TEST(FleetScan, HitsIdenticalToSingleBoardScan) {
 TEST(FleetScan, ParallelTimeShrinksWithBoards) {
   const Fixture fx(22);
   ScanOptions opt;
-  core::BoardFleet one = core::make_board_fleet(core::xc2vp70(), 1, 40, kSc);
-  core::BoardFleet three = core::make_board_fleet(core::xc2vp70(), 3, 40, kSc);
+  core::BoardFleet one = core::make_board_fleet({.boards = 1, .pes_per_board = 40}, kSc);
+  core::BoardFleet three = core::make_board_fleet({.boards = 3, .pes_per_board = 40}, kSc);
   const double t1 = scan_database_fleet(one, fx.query, fx.records, opt).board_seconds;
   const double t3 = scan_database_fleet(three, fx.query, fx.records, opt).board_seconds;
   EXPECT_LT(t3, t1);
@@ -105,7 +108,7 @@ TEST(FleetScan, LeastLoadedDealMatchesRoundRobinHits) {
   opt.top_k = 5;
   opt.min_score = 12;
   const ScanResult rr = scan_round_robin(fx.query, fx.records, 3, 40, opt);
-  core::BoardFleet fleet = core::make_board_fleet(core::xc2vp70(), 3, 40, kSc);
+  core::BoardFleet fleet = core::make_board_fleet({.boards = 3, .pes_per_board = 40}, kSc);
   const ScanResult ll = scan_database_fleet(fleet, fx.query, fx.records, opt);
   ASSERT_EQ(ll.hits.size(), rr.hits.size());
   for (std::size_t k = 0; k < ll.hits.size(); ++k) {
@@ -132,7 +135,7 @@ TEST(FleetScan, LeastLoadedDealBalancesSkewedLengths) {
   ScanOptions opt;
   double rr_busiest = 0.0;
   const ScanResult rr = scan_round_robin(query, records, 3, 30, opt, &rr_busiest);
-  core::BoardFleet fleet = core::make_board_fleet(core::xc2vp70(), 3, 30, kSc);
+  core::BoardFleet fleet = core::make_board_fleet({.boards = 3, .pes_per_board = 30}, kSc);
   const ScanResult ll = scan_database_fleet(fleet, query, records, opt);
   EXPECT_LT(ll.board_seconds, rr_busiest * 0.75);  // materially better, not just equal
   ASSERT_EQ(ll.hits.size(), rr.hits.size());
@@ -153,8 +156,8 @@ TEST(FleetScan, StoreScheduleOrderPathIsBitIdenticalToVector) {
   ScanOptions opt;
   opt.top_k = 4;
   opt.min_score = 15;
-  core::BoardFleet f1 = core::make_board_fleet(core::xc2vp70(), 3, 40, kSc);
-  core::BoardFleet f2 = core::make_board_fleet(core::xc2vp70(), 3, 40, kSc);
+  core::BoardFleet f1 = core::make_board_fleet({.boards = 3, .pes_per_board = 40}, kSc);
+  core::BoardFleet f2 = core::make_board_fleet({.boards = 3, .pes_per_board = 40}, kSc);
   const ScanResult vec = scan_database_fleet(f1, fx.query, fx.records, opt);
   const ScanResult st = scan_database_fleet(f2, fx.query, store, opt);
   ASSERT_EQ(vec.hits.size(), st.hits.size());
@@ -173,8 +176,8 @@ TEST(FleetScan, ThreadedFleetMatchesSequentialAndCountsCycles) {
   seq_opt.top_k = 4;
   ScanOptions par_opt = seq_opt;
   par_opt.threads = 4;
-  core::BoardFleet f1 = core::make_board_fleet(core::xc2vp70(), 4, 40, kSc);
-  core::BoardFleet f2 = core::make_board_fleet(core::xc2vp70(), 4, 40, kSc);
+  core::BoardFleet f1 = core::make_board_fleet({.boards = 4, .pes_per_board = 40}, kSc);
+  core::BoardFleet f2 = core::make_board_fleet({.boards = 4, .pes_per_board = 40}, kSc);
   const ScanResult a = scan_database_fleet(f1, fx.query, fx.records, seq_opt);
   const ScanResult b = scan_database_fleet(f2, fx.query, fx.records, par_opt);
   ASSERT_EQ(a.hits.size(), b.hits.size());
@@ -233,11 +236,70 @@ TEST(FleetScan, Validation) {
   const std::vector<seq::Sequence> none;
   EXPECT_THROW((void)scan_database_fleet(empty, seq::Sequence::dna("AC"), none, ScanOptions{}),
                std::invalid_argument);
-  core::BoardFleet fleet = core::make_board_fleet(core::xc2vp70(), 1, 8, kSc);
+  core::BoardFleet fleet = core::make_board_fleet({.boards = 1, .pes_per_board = 8}, kSc);
   const std::vector<seq::Sequence> mixed = {seq::Sequence::protein("AR")};
   EXPECT_THROW(
       (void)scan_database_fleet(fleet, seq::Sequence::dna("AC"), mixed, ScanOptions{}),
       std::invalid_argument);
+  // Boards stream every record: a seeded scan is refused, as by
+  // scan_database, never silently run exhaustively.
+  ScanOptions seeded;
+  seeded.filter = FilterMode::Seeded;
+  const std::vector<seq::Sequence> dna = {seq::Sequence::dna("ACGTACGT")};
+  EXPECT_THROW((void)scan_database_fleet(fleet, seq::Sequence::dna("AC"), dna, seeded),
+               std::invalid_argument);
+}
+
+TEST(FleetScan, DustFilterMatchesSingleBoardAndCpu) {
+  // The Scan.DustFilterSuppressesRepeatHits fixture: a poly-A-rich query
+  // scores on a poly-A junk record, which DUST must suppress on every
+  // engine, leaving the planted homolog in the clean record.
+  seq::RandomSequenceGenerator gen(64);
+  seq::Sequence query = seq::Sequence::dna(std::string(30, 'A'), "polyA_query");
+  query.append(gen.uniform(seq::dna(), 40));
+  std::vector<seq::Sequence> records;
+  records.push_back(seq::Sequence::dna(std::string(400, 'A'), "junk_polyA"));
+  seq::Sequence clean = gen.uniform(seq::dna(), 300, "clean_hit");
+  clean.append(seq::point_mutate(query, 0.02, gen.engine()));
+  records.push_back(std::move(clean));
+
+  ScanOptions opt;
+  opt.min_score = 20;
+  opt.dust_filter = true;
+  opt.dust_window = 16;
+  core::SmithWatermanAccelerator solo(core::xc2vp70(), 50, kSc);
+  const ScanResult single = scan_database(solo, query, records, opt);
+  ASSERT_EQ(single.hits.size(), 1u);
+  EXPECT_EQ(single.hits[0].record, 1u);
+
+  const auto expect_same_hits = [&single](const ScanResult& got, const std::string& ctx) {
+    ASSERT_EQ(got.hits.size(), single.hits.size()) << ctx;
+    for (std::size_t k = 0; k < got.hits.size(); ++k) {
+      EXPECT_EQ(got.hits[k].record, single.hits[k].record) << ctx;
+      EXPECT_EQ(got.hits[k].result, single.hits[k].result) << ctx;
+    }
+  };
+  expect_same_hits(scan_database_cpu(query, records, kSc, opt), "cpu");
+  for (const std::size_t boards : {std::size_t{1}, std::size_t{3}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      core::BoardFleet fleet =
+          core::make_board_fleet({.boards = boards, .pes_per_board = 50}, kSc);
+      ScanOptions fopt = opt;
+      fopt.threads = threads;
+      expect_same_hits(scan_database_fleet(fleet, query, records, fopt),
+                       std::to_string(boards) + " boards / " + std::to_string(threads) +
+                           " threads");
+    }
+  }
+  svc::ServiceConfig cfg;
+  cfg.cpu_workers = 0;
+  cfg.fleet.boards = 2;
+  cfg.fleet.pes_per_board = 50;
+  cfg.chunk_records = 1;
+  svc::ScanService service(records, cfg);
+  const svc::ScanResponse resp = service.submit(query, opt).response.get();
+  EXPECT_EQ(resp.status, svc::QueryStatus::Done);
+  expect_same_hits(resp.result, "service, 2 boards");
 }
 
 }  // namespace

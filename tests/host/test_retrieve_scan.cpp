@@ -178,7 +178,7 @@ TEST(AlignParity, AcceleratorAndFleetMatchTheCpuEngine) {
   expect_same_alignments(accel, cpu, "accelerator");
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-    core::BoardFleet fleet = core::make_board_fleet(core::xc2vp70(), 3, 40, sc);
+    core::BoardFleet fleet = core::make_board_fleet({.boards = 3, .pes_per_board = 40}, sc);
     ScanOptions fopt = opt;
     fopt.threads = threads;
     const ScanResult fr = scan_database_fleet(fleet, db.query, db.records, fopt);

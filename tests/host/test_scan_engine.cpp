@@ -418,11 +418,12 @@ TEST(FleetScanParallel, ThreadedFleetIdenticalToSequentialFleet) {
   opt.top_k = 5;
   opt.min_score = 12;
   for (const std::size_t boards : {1u, 3u}) {
-    core::BoardFleet seq_fleet = core::make_board_fleet(core::xc2vp70(), boards, db.query.size(), kSc);
+    core::BoardFleet seq_fleet =
+        core::make_board_fleet({.boards = boards, .pes_per_board = db.query.size()}, kSc);
     const ScanResult ref = scan_database_fleet(seq_fleet, db.query, db.records, opt);
     for (const std::size_t threads : {2u, 8u}) {
       core::BoardFleet par_fleet =
-          core::make_board_fleet(core::xc2vp70(), boards, db.query.size(), kSc);
+          core::make_board_fleet({.boards = boards, .pes_per_board = db.query.size()}, kSc);
       ScanOptions popt = opt;
       popt.threads = threads;
       const ScanResult got = scan_database_fleet(par_fleet, db.query, db.records, popt);

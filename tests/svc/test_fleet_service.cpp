@@ -12,6 +12,7 @@
 #include "db/store.hpp"
 #include "host/scan_engine.hpp"
 #include "hw/sched.hpp"
+#include "net_test_util.hpp"
 #include "svc/scan_service.hpp"
 #include "test_util.hpp"
 
@@ -62,10 +63,10 @@ TEST(FleetService, CatalogDeviceAndBothSchedulersMatchDirectScan) {
     for (const hw::SchedMode sched : {hw::SchedMode::Dense, hw::SchedMode::Event}) {
       svc::ServiceConfig cfg;
       cfg.cpu_workers = 0;
-      cfg.boards = 2;
-      cfg.board_pes = 32;
-      cfg.board_device_name = device;
-      cfg.board_sched = sched;
+      cfg.fleet.boards = 2;
+      cfg.fleet.pes_per_board = 32;
+      cfg.fleet.device = device;
+      cfg.fleet.sched = sched;
       cfg.chunk_records = 6;
       svc::ScanService service(store, cfg);
       const svc::ScanResponse resp = service.submit(query, opt).response.get();
@@ -81,9 +82,74 @@ TEST(FleetService, UnknownDeviceNameThrowsAtConstruction) {
   const std::vector<seq::Sequence> recs = fleet_records();
   svc::ServiceConfig cfg;
   cfg.cpu_workers = 0;
-  cfg.boards = 1;
-  cfg.board_device_name = "nosuch-fpga";
+  cfg.fleet.boards = 1;
+  cfg.fleet.device = "nosuch-fpga";
   EXPECT_THROW(svc::ScanService(recs, cfg), std::invalid_argument);
+}
+
+TEST(FleetService, BoardThatDoesNotFitThrowsAtConstruction) {
+  // The boards are built by the constructor, so a PE count the device
+  // cannot hold is a typed error here, not a throw inside an executor
+  // thread (which would terminate the process).
+  const std::vector<seq::Sequence> recs = fleet_records();
+  svc::ServiceConfig cfg;
+  cfg.cpu_workers = 1;
+  cfg.fleet.boards = 1;
+  cfg.fleet.pes_per_board = 100000;
+  EXPECT_THROW(svc::ScanService(recs, cfg), std::invalid_argument);
+}
+
+TEST(FleetService, SeededQueryIsRejectedWhenBoardsServe) {
+  // A board streams every record, so its chunks cannot honour the seeded
+  // filter: admission refuses the query instead of letting the hits
+  // depend on which executor ran which chunk.
+  const std::vector<seq::Sequence> recs = fleet_records();
+  const db::Store store = open_fleet_store(recs, "svc_fleet_seeded.swdb");
+  ASSERT_TRUE(store.has_kmer_index());
+  const seq::Sequence query = seq::Sequence::dna("ACGTACGTACGTACGTACGT", "q");
+  host::ScanOptions seeded = default_opt();
+  seeded.filter = host::FilterMode::Seeded;
+
+  for (const std::size_t cpu_workers : {std::size_t{0}, std::size_t{2}}) {
+    svc::ServiceConfig cfg;
+    cfg.cpu_workers = cpu_workers;
+    cfg.fleet.boards = 1;
+    cfg.fleet.pes_per_board = 32;
+    svc::ScanService service(store, cfg);
+    EXPECT_THROW((void)service.try_submit(query, seeded), std::invalid_argument)
+        << cpu_workers << " cpu workers";
+    // Exact queries on the same service are still served.
+    EXPECT_EQ(service.submit(query, default_opt()).response.get().status,
+              svc::QueryStatus::Done);
+  }
+
+  // Without boards the seeded query is admitted.
+  svc::ServiceConfig cpu_only;
+  svc::ScanService service(store, cpu_only);
+  EXPECT_EQ(service.submit(query, seeded).response.get().status, svc::QueryStatus::Done);
+}
+
+TEST(FleetService, SeededWireRequestToBoardServerIsBadRequest) {
+  svc::net::ServerConfig cfg;
+  cfg.service.cpu_workers = 1;
+  cfg.service.fleet.boards = 1;
+  cfg.service.fleet.pes_per_board = 32;
+  test::NetServerFixture fixture("svc_fleet_seeded_wire.swdb", cfg);
+  svc::net::ScanClient client = fixture.connect();
+
+  svc::net::WireRequest req = test::planted_request(7);
+  req.filter = 1;  // seeded
+  const svc::net::ClientResponse resp = client.scan(req);
+  EXPECT_FALSE(resp.ok);
+  ASSERT_EQ(resp.errors.size(), 1u);
+  EXPECT_EQ(resp.errors[0].code, svc::net::ErrorCode::BadRequest);
+  EXPECT_EQ(resp.errors[0].request_id, 7u);
+  EXPECT_EQ(fixture.registry().snapshot().counter("svc.net.invalid_requests"), 1u);
+
+  // The connection survives, and an exact request is served.
+  const svc::net::ClientResponse exact = client.scan(test::planted_request(8));
+  EXPECT_TRUE(exact.ok) << exact.error;
+  EXPECT_GT(exact.hits.size(), 0u);
 }
 
 TEST(FleetService, BoardCyclesMatchAnalyticModel) {
@@ -103,9 +169,9 @@ TEST(FleetService, BoardCyclesMatchAnalyticModel) {
   for (const hw::SchedMode sched : {hw::SchedMode::Dense, hw::SchedMode::Event}) {
     svc::ServiceConfig cfg;
     cfg.cpu_workers = 0;
-    cfg.boards = 3;
-    cfg.board_pes = 32;
-    cfg.board_sched = sched;
+    cfg.fleet.boards = 3;
+    cfg.fleet.pes_per_board = 32;
+    cfg.fleet.sched = sched;
     cfg.chunk_records = 4;
     svc::ScanService service(store, cfg);
     const svc::ScanResponse resp = service.submit(query, opt).response.get();
@@ -122,14 +188,14 @@ TEST(FleetService, BusModelAddsWallTimeWithoutMovingHits) {
 
   svc::ServiceConfig cfg;
   cfg.cpu_workers = 0;
-  cfg.boards = 2;
-  cfg.board_pes = 32;
+  cfg.fleet.boards = 2;
+  cfg.fleet.pes_per_board = 32;
   cfg.chunk_records = 6;
 
   svc::ScanService compute_only(store, cfg);
   const svc::ScanResponse a = compute_only.submit(query, opt).response.get();
 
-  cfg.board_bus = true;
+  cfg.fleet.model_bus = true;
   svc::ScanService with_bus(store, cfg);
   const svc::ScanResponse b = with_bus.submit(query, opt).response.get();
 

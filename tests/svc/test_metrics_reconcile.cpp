@@ -110,7 +110,8 @@ TEST(MetricsReconcile, FleetEngineAcrossBoardsAndThreads) {
   for (const std::size_t boards : {std::size_t{1}, std::size_t{3}}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
       obs::Registry reg;
-      core::BoardFleet fleet = core::make_board_fleet(core::xc2vp70(), boards, 32, sc);
+      core::BoardFleet fleet =
+          core::make_board_fleet({.boards = boards, .pes_per_board = 32}, sc);
       host::ScanOptions opt;
       opt.threads = threads;
       opt.metrics = &reg;
@@ -140,8 +141,8 @@ TEST(MetricsReconcile, ServiceAcrossExecutorMixes) {
       obs::Registry reg;
       svc::ServiceConfig cfg;
       cfg.cpu_workers = cpu_workers;
-      cfg.boards = boards;
-      cfg.board_pes = 24;
+      cfg.fleet.boards = boards;
+      cfg.fleet.pes_per_board = 24;
       cfg.chunk_records = 7;
       cfg.metrics = &reg;
 

@@ -55,7 +55,7 @@ TEST(ScanService, ConfigValidation) {
   const std::vector<seq::Sequence> recs = service_records();
   svc::ServiceConfig cfg;
   cfg.cpu_workers = 0;
-  cfg.boards = 0;
+  cfg.fleet.boards = 0;
   EXPECT_THROW(svc::ScanService(recs, cfg), std::invalid_argument);
   cfg = {};
   cfg.queue_capacity = 0;
@@ -107,8 +107,8 @@ TEST(ScanService, MixedCpuAndBoardExecutorsBitIdentical) {
 
   svc::ServiceConfig cfg;
   cfg.cpu_workers = 2;
-  cfg.boards = 2;
-  cfg.board_pes = 32;
+  cfg.fleet.boards = 2;
+  cfg.fleet.pes_per_board = 32;
   cfg.chunk_records = 5;
   svc::ScanService service(store, cfg);
   const svc::ScanResponse resp = service.submit(query, opt).response.get();
@@ -128,8 +128,8 @@ TEST(ScanService, BoardOnlyExecutorsBitIdentical) {
 
   svc::ServiceConfig cfg;
   cfg.cpu_workers = 0;
-  cfg.boards = 2;
-  cfg.board_pes = 32;
+  cfg.fleet.boards = 2;
+  cfg.fleet.pes_per_board = 32;
   cfg.chunk_records = 8;
   svc::ScanService service(store, cfg);
   const svc::ScanResponse resp = service.submit(query, opt).response.get();

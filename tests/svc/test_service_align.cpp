@@ -112,7 +112,7 @@ TEST(ServiceAlign, ChunkSizesAndBoardsMatchTheDirectScan) {
     for (const std::size_t boards : {std::size_t{0}, std::size_t{1}}) {
       svc::ServiceConfig cfg;
       cfg.cpu_workers = 3;
-      cfg.boards = boards;
+      cfg.fleet.boards = boards;
       cfg.chunk_records = chunk;
       svc::ScanService service(store, cfg);
       const svc::ScanResponse resp = service.submit(db.query, opt).response.get();

@@ -213,8 +213,8 @@ TEST(ServiceStress, MixedExecutorCancelAndDeadlineStorm) {
   obs::Registry reg;
   svc::ServiceConfig cfg;
   cfg.cpu_workers = 2;
-  cfg.boards = 2;
-  cfg.board_pes = 16;
+  cfg.fleet.boards = 2;
+  cfg.fleet.pes_per_board = 16;
   cfg.queue_capacity = 3;
   cfg.chunk_records = 8;
   cfg.metrics = &reg;

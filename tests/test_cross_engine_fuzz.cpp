@@ -99,11 +99,11 @@ TEST_P(CrossEngineFuzz, AllEnginesAgree) {
     wf.row_block = 1 + c.m / 3;
     EXPECT_EQ(par::wavefront_sw(db, query, c.sc, wf), oracle) << "wavefront " << ctx;
 
-    core::ArrayController<core::ScorePe> ctl(c.npes, 16, c.sc, 8u << 20, true, false);
+    core::ArrayController<core::ScorePe> ctl(c.npes, 16, c.sc, 8u << 20, true);
     EXPECT_EQ(ctl.run(query, db), oracle) << "systolic " << ctx;
 
-    core::BoardFleet fleet = core::make_board_fleet(core::xc2vp70(), c.boards,
-                                                    std::min<std::size_t>(c.n, 150) + 1, c.sc);
+    core::BoardFleet fleet = core::make_board_fleet(
+        {.boards = c.boards, .pes_per_board = std::min<std::size_t>(c.n, 150) + 1}, c.sc);
     EXPECT_EQ(core::multiboard_run(fleet, query, db).best, oracle) << "multiboard " << ctx;
 
     core::MultiBaseController mb(std::max<std::size_t>(c.npes / 2, 1), 1 + c.seed % 4, 16, c.sc,
@@ -134,7 +134,7 @@ TEST_P(CrossEngineFuzz, AffineEnginesAgree) {
 
     const align::LocalScoreResult oracle =
         align::gotoh_local_score(db.codes(), query.codes(), sc);
-    core::ArrayController<core::AffinePe> ctl(npes, 16, sc, 8u << 20, true, false);
+    core::ArrayController<core::AffinePe> ctl(npes, 16, sc, 8u << 20, true);
     EXPECT_EQ(ctl.run(query, db), oracle)
         << "affine m=" << m << " n=" << n << " npes=" << npes << " open=" << sc.gap_open
         << " ext=" << sc.gap_extend;
@@ -212,14 +212,14 @@ void check_all_engines(const seq::Sequence& db, const seq::Sequence& query,
   EXPECT_EQ(align::banded_sw(db.codes(), query.codes(), full_band, sc), oracle)
       << "banded " << ctx;
 
-  core::ArrayController<core::ScorePe> ctl(5, 16, sc, 8u << 20, true, false);
+  core::ArrayController<core::ScorePe> ctl(5, 16, sc, 8u << 20, true);
   EXPECT_EQ(ctl.run(query, db), oracle) << "systolic " << ctx;
 
   // Long queries are partitioned across boards; size the fleet so each
   // board's slice fits the xc2vp70 PE budget.
   const std::size_t boards = 2 + query.size() / 100;
   core::BoardFleet fleet =
-      core::make_board_fleet(core::xc2vp70(), boards, query.size() / boards + 2, sc);
+      core::make_board_fleet({.boards = boards, .pes_per_board = query.size() / boards + 2}, sc);
   EXPECT_EQ(core::multiboard_run(fleet, query, db).best, oracle) << "multiboard " << ctx;
 }
 

@@ -83,7 +83,7 @@ TEST(Integration, EveryEngineOneWorkload) {
   core::SmithWatermanAccelerator acc(core::xc2vp70(), 48, kSc);
   EXPECT_EQ(acc.run(wl.query, wl.database).best, oracle);
 
-  core::BoardFleet fleet = core::make_board_fleet(core::xc2vp70(), 3, 48, kSc);
+  core::BoardFleet fleet = core::make_board_fleet({.boards = 3, .pes_per_board = 48}, kSc);
   EXPECT_EQ(core::multiboard_run(fleet, wl.query, wl.database).best, oracle);
 
   par::ZAlignOptions zopt;
