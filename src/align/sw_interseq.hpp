@@ -47,11 +47,13 @@
 //     under a strict total order, so that equals folding the whole row.
 //
 // Availability mirrors sw_striped: compiled on x86 GCC/Clang only
-// (per-function target attributes; the binary stays portable), guarded by
-// CPUID at runtime, and structurally unusable when the scoring magnitudes
-// exceed a byte or the alphabet (plus the neutral code) does not fit the
-// 32-slot pshufb table — host/scan_engine degrades to the striped shape
-// in those cases.
+// (per-function target attributes; the binary stays portable), with the
+// column sweep and row advance written once (align/simd_kernels.inc) over
+// the same 8-bit op sets as the striped kernel, guarded by CPUID at
+// runtime, and structurally unusable when the scoring magnitudes exceed
+// a byte or the alphabet (plus the neutral code) does not fit the 32-slot
+// pshufb table — host/scan_engine degrades to the striped shape in those
+// cases.
 #pragma once
 
 #include <array>

@@ -38,9 +38,12 @@
 //
 // Availability: the kernels are compiled on x86 GCC/Clang only (per-
 // function target attributes, no global -mavx2 — the binary stays
-// portable) and guarded by CPUID at runtime. Off x86 every *_try returns
-// nullopt and sw_striped_compiled() is false; core/cpu_features.hpp turns
-// that plus SWR_SIMD/--simd into the per-scan dispatch decision.
+// portable) and guarded by CPUID at runtime. The row recurrence is one
+// template body (align/simd_kernels.inc) instantiated per ISA and lane
+// width over that ISA's op set (align/simd_kernels.hpp). Off x86 every
+// *_try returns nullopt and sw_striped_compiled() is false;
+// core/cpu_features.hpp turns that plus SWR_SIMD/--simd into the per-scan
+// dispatch decision.
 #pragma once
 
 #include <cstdint>
@@ -136,6 +139,10 @@ class StripedProfile {
 struct StripedWorkspace {
   std::vector<std::uint8_t> h8;
   std::vector<std::uint16_t> h16;
+  /// Rows whose row max reached the best so far and so ran the O(n)
+  /// query-order rescan for the canonical tie-break, summed over every
+  /// kernel call on this workspace (scan.striped.rescan_rows).
+  std::uint64_t rescan_rows = 0;
 };
 
 /// 8-bit striped kernel over rec (rows) vs the profile's query (columns).

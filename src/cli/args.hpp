@@ -5,12 +5,15 @@
 // an error (a typo'd option silently ignored is how benchmarks lie).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace swr::cli {
@@ -51,6 +54,21 @@ class ArgParser {
   /// Typed helpers. @throws ArgError on malformed numbers.
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
+
+  /// Integer option as a T in [lo, hi] (by default T's non-negative
+  /// values). Zero, where an option cannot take it, is left to the
+  /// command's own validation. @throws ArgError on a malformed number or
+  /// one outside the range, naming the option and the range.
+  template <std::integral T>
+  [[nodiscard]] T get_int_as(const std::string& name, T lo = 0,
+                             T hi = std::numeric_limits<T>::max()) const {
+    const std::int64_t v = get_int(name);
+    if (std::cmp_less(v, lo) || std::cmp_greater(v, hi)) {
+      throw ArgError("option --" + name + " must be in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "], got " + std::to_string(v));
+    }
+    return static_cast<T>(v);
+  }
 
  private:
   std::set<std::string> declared_flags_;

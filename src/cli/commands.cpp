@@ -4,6 +4,7 @@
 #include <chrono>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -48,17 +49,21 @@ const seq::Alphabet& alphabet_by_name(const std::string& name) {
   throw ArgError("unknown alphabet '" + name + "' (dna|rna|protein)");
 }
 
+// A scoring option (--match, --gap, ...) takes any Score: Scoring::validate
+// judges the signs.
+align::Score score_option(const ArgParser& args, const std::string& name) {
+  return args.get_int_as<align::Score>(name, std::numeric_limits<align::Score>::min());
+}
+
 align::Scoring scoring_from(const ArgParser& args, const seq::Alphabet& ab) {
   align::Scoring sc;
   if (ab.id() == seq::AlphabetId::Protein) {
     sc.matrix = &align::blosum62();
     sc.gap = -8;
   }
-  if (const auto v = args.get_optional("match")) sc.match = static_cast<align::Score>(std::stol(*v));
-  if (const auto v = args.get_optional("mismatch")) {
-    sc.mismatch = static_cast<align::Score>(std::stol(*v));
-  }
-  if (const auto v = args.get_optional("gap")) sc.gap = static_cast<align::Score>(std::stol(*v));
+  if (args.get_optional("match")) sc.match = score_option(args, "match");
+  if (args.get_optional("mismatch")) sc.mismatch = score_option(args, "mismatch");
+  if (args.get_optional("gap")) sc.gap = score_option(args, "gap");
   sc.validate();
   return sc;
 }
@@ -76,16 +81,10 @@ align::AffineScoring affine_scoring_from(const ArgParser& args, const seq::Alpha
     sc.gap_open = -10;
     sc.gap_extend = -1;
   }
-  if (const auto v = args.get_optional("match")) sc.match = static_cast<align::Score>(std::stol(*v));
-  if (const auto v = args.get_optional("mismatch")) {
-    sc.mismatch = static_cast<align::Score>(std::stol(*v));
-  }
-  if (const auto v = args.get_optional("gap-open")) {
-    sc.gap_open = static_cast<align::Score>(std::stol(*v));
-  }
-  if (const auto v = args.get_optional("gap-extend")) {
-    sc.gap_extend = static_cast<align::Score>(std::stol(*v));
-  }
+  if (args.get_optional("match")) sc.match = score_option(args, "match");
+  if (args.get_optional("mismatch")) sc.mismatch = score_option(args, "mismatch");
+  if (args.get_optional("gap-open")) sc.gap_open = score_option(args, "gap-open");
+  if (args.get_optional("gap-extend")) sc.gap_extend = score_option(args, "gap-extend");
   sc.validate();
   return sc;
 }
@@ -145,7 +144,7 @@ int cmd_align(const std::vector<std::string>& argv, std::ostream& out) {
 
   align::LocalAlignment al;
   if (mode == "local") {
-    const std::size_t pes = accel ? static_cast<std::size_t>(args.get_int("pes")) : 0;
+    const std::size_t pes = accel ? args.get_int_as<std::size_t>("pes") : 0;
     al = affine ? local_alignment<core::AffinePe>(a, b, affine_scoring_from(args, ab), accel, pes)
                 : local_alignment<core::ScorePe>(a, b, scoring_from(args, ab), accel, pes);
   } else if (affine) {
@@ -345,15 +344,14 @@ int scan_batch(const ArgParser& args, const seq::Alphabet& ab, const align::Scor
   if (queries.empty()) throw ArgError("no query records in '" + args.positionals()[0] + "'");
 
   svc::ServiceConfig cfg;
-  cfg.cpu_workers = static_cast<std::size_t>(args.get_int("cpu-workers"));
+  cfg.cpu_workers = args.get_int_as<std::size_t>("cpu-workers");
   cfg.fleet.device = args.get("board-device");
-  cfg.fleet.boards = static_cast<std::size_t>(args.get_int("boards"));
-  cfg.fleet.pes_per_board = static_cast<std::size_t>(args.get_int("pes"));
+  cfg.fleet.boards = args.get_int_as<std::size_t>("boards");
+  cfg.fleet.pes_per_board = args.get_int_as<std::size_t>("pes");
   if (const auto sched = hw::parse_sched_mode(args.get("sched"))) cfg.fleet.sched = *sched;
-  cfg.queue_capacity = std::max<std::size_t>(static_cast<std::size_t>(args.get_int("queue")),
-                                             queries.size());
-  cfg.max_inflight = static_cast<std::size_t>(args.get_int("inflight"));
-  cfg.chunk_records = static_cast<std::size_t>(args.get_int("chunk"));
+  cfg.queue_capacity = std::max(args.get_int_as<std::size_t>("queue"), queries.size());
+  cfg.max_inflight = args.get_int_as<std::size_t>("inflight");
+  cfg.chunk_records = args.get_int_as<std::size_t>("chunk");
   cfg.numa = opt.numa;
   cfg.scoring = sc;
   cfg.metrics = metrics;
@@ -361,10 +359,10 @@ int scan_batch(const ArgParser& args, const seq::Alphabet& ab, const align::Scor
   // complete. Slow threshold from --slow-ms (0 = slow log off).
   std::optional<obs::TraceRing> trace;
   if (metrics != nullptr) {
-    trace.emplace(queries.size(), static_cast<double>(args.get_int("slow-ms")) / 1e3);
+    trace.emplace(queries.size(), args.get_int_as<std::int64_t>("slow-ms") / 1e3);
     cfg.trace = &*trace;
   }
-  const std::chrono::milliseconds deadline(args.get_int("deadline-ms"));
+  const std::chrono::milliseconds deadline(args.get_int_as<std::int64_t>("deadline-ms"));
 
   const align::KarlinParams kp = align::solve_karlin_uniform(sc, ab.size());
   if (format != "tsv") {
@@ -469,9 +467,9 @@ int cmd_scan(const std::vector<std::string>& argv, std::ostream& out) {
   }
 
   host::ScanOptions opt;
-  opt.top_k = static_cast<std::size_t>(args.get_int("top"));
-  opt.min_score = static_cast<align::Score>(args.get_int("min-score"));
-  opt.threads = static_cast<std::size_t>(args.get_int("threads"));
+  opt.top_k = args.get_int_as<std::size_t>("top");
+  opt.min_score = args.get_int_as<align::Score>("min-score");
+  opt.threads = args.get_int_as<std::size_t>("threads");
   opt.simd = simd_isa_by_name(args.get("simd"));
   opt.kernel = kernel_shape_by_name(args.get("kernel"));
   opt.numa = numa_request_by_name(args.get("numa"));
@@ -484,15 +482,12 @@ int cmd_scan(const std::vector<std::string>& argv, std::ostream& out) {
   } else {
     throw ArgError("unknown filter '" + filter_name + "' (exact|seeded)");
   }
-  opt.filter_threshold = static_cast<align::Score>(args.get_int("filter-threshold"));
-  if (opt.filter_threshold < 0) throw ArgError("--filter-threshold must be >= 0");
+  opt.filter_threshold = args.get_int_as<align::Score>("filter-threshold");
   const bool seeded = opt.filter == host::FilterMode::Seeded;
 
   opt.align = args.has("align");
-  const int max_hits = args.get_int("max-hits");
-  if (max_hits < 0) throw ArgError("--max-hits must be >= 0 (0 aligns every reported hit)");
-  if (max_hits > 0 && !opt.align) throw ArgError("--max-hits needs --align");
-  opt.max_hits = static_cast<std::size_t>(max_hits);
+  opt.max_hits = args.get_int_as<std::size_t>("max-hits");  // 0 aligns every reported hit
+  if (opt.max_hits > 0 && !opt.align) throw ArgError("--max-hits needs --align");
   const std::string format = args.get("format");
   if (format != "text" && format != "tsv" && format != "pretty") {
     throw ArgError("unknown format '" + format + "' (text|tsv|pretty)");
@@ -517,7 +512,7 @@ int cmd_scan(const std::vector<std::string>& argv, std::ostream& out) {
   if (engine_name == "accel" && opt.threads > 1) {
     throw ArgError("--engine accel is single-threaded; use --engine cpu with --threads");
   }
-  if (seeded && args.has("batch") && args.get_int("boards") > 0) {
+  if (seeded && args.has("batch") && args.get_int_as<std::size_t>("boards") > 0) {
     throw ArgError("--filter seeded runs on CPU workers only; use --boards 0");
   }
   if (use_fleet && args.has("batch")) {
@@ -579,8 +574,8 @@ int cmd_scan(const std::vector<std::string>& argv, std::ostream& out) {
   } else if (use_fleet) {
     core::FleetOptions fopt;
     fopt.device = args.get("board-device");
-    fopt.boards = std::max<std::size_t>(1, static_cast<std::size_t>(args.get_int("boards")));
-    fopt.pes_per_board = static_cast<std::size_t>(args.get_int("pes"));
+    fopt.boards = std::max<std::size_t>(1, args.get_int_as<std::size_t>("boards"));
+    fopt.pes_per_board = args.get_int_as<std::size_t>("pes");
     fopt.sched = sched;
     fopt.model_bus = true;  // fleet scans report DMA-overlapped wall times
     core::BoardFleet fleet;
@@ -592,8 +587,8 @@ int cmd_scan(const std::vector<std::string>& argv, std::ostream& out) {
     scan = database.store ? host::scan_database_fleet(fleet, query, *database.store, opt)
                           : host::scan_database_fleet(fleet, query, database.records, opt);
   } else {
-    core::SmithWatermanAccelerator acc(core::xc2vp70(),
-                                       static_cast<std::size_t>(args.get_int("pes")), sc, sched);
+    core::SmithWatermanAccelerator acc(core::xc2vp70(), args.get_int_as<std::size_t>("pes"), sc,
+                                       sched);
     scan = database.store ? host::scan_database(acc, query, *database.store, opt)
                           : host::scan_database(acc, query, database.records, opt);
   }
@@ -693,10 +688,8 @@ int cmd_swdb(const std::vector<std::string>& argv, std::ostream& out) {
       throw ArgError("unknown encoding '" + enc + "' (auto|raw8|packed2)");
     }
     opt.kmer_index = !args.has("no-index");
-    const int seed_k = args.get_int("seed-k");
-    if (seed_k < 0) throw ArgError("--seed-k must be >= 0 (0 picks automatically)");
-    if (seed_k != 0 && !opt.kmer_index) throw ArgError("--seed-k conflicts with --no-index");
-    opt.seed_k = static_cast<std::size_t>(seed_k);
+    opt.seed_k = args.get_int_as<std::size_t>("seed-k");  // 0 picks automatically
+    if (opt.seed_k != 0 && !opt.kmer_index) throw ArgError("--seed-k conflicts with --no-index");
     const db::BuildStats st =
         db::build_store_from_fasta(args.positionals()[0], args.positionals()[1], ab, opt);
     out << "wrote " << args.positionals()[1] << ": " << st.records << " records, " << st.residues
@@ -826,7 +819,7 @@ int cmd_translate(const std::vector<std::string>& argv, std::ostream& out) {
             << frames[f].to_string() << "\n";
       }
     } else {
-      const auto frame = static_cast<unsigned>(args.get_int("frame"));
+      const auto frame = args.get_int_as<unsigned>("frame");
       const seq::Sequence prot = seq::translate(rec, frame);
       out << ">" << rec.name() << " | frame " << frame << "\n" << prot.to_string() << "\n";
     }
@@ -840,7 +833,7 @@ int cmd_orfs(const std::vector<std::string>& argv, std::ostream& out) {
   args.parse(argv);
   if (args.positionals().size() != 1) throw ArgError("orfs needs <dna.fa>");
   const auto records = seq::read_fasta_file(args.positionals()[0], seq::dna());
-  const auto min_codons = static_cast<std::size_t>(args.get_int("min-codons"));
+  const auto min_codons = args.get_int_as<std::size_t>("min-codons");
   for (const seq::Sequence& rec : records) {
     const auto orfs = seq::find_orfs(rec, min_codons);
     out << rec.name() << ": " << orfs.size() << " ORFs (>= " << min_codons << " codons)\n";
@@ -868,8 +861,8 @@ int cmd_nearbest(const std::vector<std::string>& argv, std::ostream& out) {
   const seq::Sequence a = first_record(args.positionals()[0], ab);
   const seq::Sequence b = first_record(args.positionals()[1], ab);
   align::NearBestOptions opt;
-  opt.max_alignments = static_cast<std::size_t>(args.get_int("max"));
-  opt.min_score = static_cast<align::Score>(args.get_int("min-score"));
+  opt.max_alignments = args.get_int_as<std::size_t>("max");
+  opt.min_score = args.get_int_as<align::Score>("min-score");
   const auto set = align::near_best_alignments(a, b, sc, opt);
   out << set.size() << " non-overlapping alignments (score >= " << opt.min_score << "):\n";
   for (std::size_t k = 0; k < set.size(); ++k) {
@@ -889,9 +882,9 @@ int cmd_map(const std::vector<std::string>& argv, std::ostream& out) {
   const seq::Sequence ref = first_record(args.positionals()[1], seq::dna());
   const align::Scoring sc = align::Scoring::paper_default();
   align::SeedExtendOptions seed_opt;
-  seed_opt.k = static_cast<std::size_t>(args.get_int("k"));
-  const auto pad = static_cast<std::size_t>(args.get_int("pad"));
-  const auto min_score = static_cast<align::Score>(args.get_int("min-score"));
+  seed_opt.k = args.get_int_as<std::size_t>("k");
+  const auto pad = args.get_int_as<std::size_t>("pad");
+  const auto min_score = args.get_int_as<align::Score>("min-score");
 
   std::size_t mapped = 0;
   for (const seq::FastqRecord& read : reads) {
@@ -920,8 +913,8 @@ int cmd_design(const std::vector<std::string>& argv, std::ostream& out) {
   ArgParser args;
   args.option("query", "100").option("db", "1000000");
   args.parse(argv);
-  const auto m = static_cast<std::size_t>(args.get_int("query"));
-  const auto n = static_cast<std::size_t>(args.get_int("db"));
+  const auto m = args.get_int_as<std::size_t>("query");
+  const auto n = args.get_int_as<std::size_t>("db");
   const core::PeFeatures pe{16, 32, true, false};
   out << "workload: " << m << " x " << n << "\n";
   for (const core::FpgaDevice& dev : core::device_catalog()) {

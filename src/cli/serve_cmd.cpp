@@ -5,6 +5,7 @@
 #include <chrono>
 #include <csignal>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -32,11 +33,13 @@ align::Scoring serve_scoring(const ArgParser& args, const seq::Alphabet& ab) {
     sc.matrix = &align::blosum62();
     sc.gap = -8;
   }
-  if (const auto v = args.get_optional("match")) sc.match = static_cast<align::Score>(std::stol(*v));
-  if (const auto v = args.get_optional("mismatch")) {
-    sc.mismatch = static_cast<align::Score>(std::stol(*v));
+  // Any Score: Scoring::validate judges the signs.
+  constexpr align::Score kLowest = std::numeric_limits<align::Score>::min();
+  if (args.get_optional("match")) sc.match = args.get_int_as<align::Score>("match", kLowest);
+  if (args.get_optional("mismatch")) {
+    sc.mismatch = args.get_int_as<align::Score>("mismatch", kLowest);
   }
-  if (const auto v = args.get_optional("gap")) sc.gap = static_cast<align::Score>(std::stol(*v));
+  if (args.get_optional("gap")) sc.gap = args.get_int_as<align::Score>("gap", kLowest);
   sc.validate();
   return sc;
 }
@@ -162,26 +165,27 @@ int cmd_serve(const std::vector<std::string>& argv, std::ostream& out) {
   const db::Store store = db::Store::open(*db_path, reg);
 
   svc::net::ServerConfig cfg;
-  cfg.service.cpu_workers = static_cast<std::size_t>(args.get_int("cpu-workers"));
-  cfg.service.fleet.boards = static_cast<std::size_t>(args.get_int("boards"));
-  cfg.service.fleet.pes_per_board = static_cast<std::size_t>(args.get_int("pes"));
-  cfg.service.max_inflight = static_cast<std::size_t>(args.get_int("inflight"));
-  cfg.service.queue_capacity = static_cast<std::size_t>(args.get_int("queue"));
-  cfg.service.chunk_records = static_cast<std::size_t>(args.get_int("chunk"));
+  cfg.service.cpu_workers = args.get_int_as<std::size_t>("cpu-workers");
+  cfg.service.fleet.boards = args.get_int_as<std::size_t>("boards");
+  cfg.service.fleet.pes_per_board = args.get_int_as<std::size_t>("pes");
+  cfg.service.max_inflight = args.get_int_as<std::size_t>("inflight");
+  cfg.service.queue_capacity = args.get_int_as<std::size_t>("queue");
+  cfg.service.chunk_records = args.get_int_as<std::size_t>("chunk");
   cfg.service.numa = numa_request_by_name(args.get("numa"));
   cfg.service.scoring = serve_scoring(args, store.alphabet());
   cfg.service.metrics = reg;
   cfg.host = args.get("host");
-  cfg.port = static_cast<std::uint16_t>(args.get_int("port"));
-  cfg.write_timeout = std::chrono::milliseconds(args.get_int("write-timeout-ms"));
-  cfg.idle_timeout = std::chrono::milliseconds(args.get_int("idle-timeout-ms"));
+  cfg.port = args.get_int_as<std::uint16_t>("port");
+  cfg.write_timeout = std::chrono::milliseconds(args.get_int_as<std::int64_t>("write-timeout-ms"));
+  cfg.idle_timeout = std::chrono::milliseconds(args.get_int_as<std::int64_t>("idle-timeout-ms"));
   cfg.default_limits.rate_per_s = args.get_double("rate");
-  cfg.default_limits.burst = static_cast<std::size_t>(args.get_int("burst"));
+  cfg.default_limits.burst = args.get_int_as<std::size_t>("burst");
   if (const auto tenants = args.get_optional("tenants")) {
     cfg.tenant_limits = parse_tenants(*tenants);
   }
-  cfg.result_cache_bytes = static_cast<std::size_t>(args.get_int("result-cache-mb")) << 20;
-  cfg.profile_cache_entries = static_cast<std::size_t>(args.get_int("profile-cache"));
+  constexpr std::size_t kMaxCacheMb = std::numeric_limits<std::size_t>::max() >> 20;
+  cfg.result_cache_bytes = args.get_int_as<std::size_t>("result-cache-mb", 0, kMaxCacheMb) << 20;
+  cfg.profile_cache_entries = args.get_int_as<std::size_t>("profile-cache");
   cfg.metrics = reg;
 
   svc::net::ScanServer server(store, cfg);
@@ -234,12 +238,12 @@ int cmd_client(const std::vector<std::string>& argv, std::ostream& out) {
   args.parse(argv);
   const std::optional<std::string> port_opt = args.get_optional("port");
   if (!port_opt) throw ArgError("client needs --port");
-  const auto port = static_cast<std::uint16_t>(std::stoul(*port_opt));
+  const auto port = args.get_int_as<std::uint16_t>("port");
   const std::string format = args.get("format");
   if (format != "text" && format != "tsv") {
     throw ArgError("unknown format '" + format + "' (text|tsv)");
   }
-  const std::chrono::milliseconds timeout(args.get_int("timeout-ms"));
+  const std::chrono::milliseconds timeout(args.get_int_as<std::int64_t>("timeout-ms"));
 
   svc::net::ScanClient client;
   std::string error;
@@ -271,7 +275,7 @@ int cmd_client(const std::vector<std::string>& argv, std::ostream& out) {
   const auto queries = seq::read_fasta_file(args.positionals()[0], ab);
   if (queries.empty()) throw ArgError("no query records in '" + args.positionals()[0] + "'");
 
-  const auto repeat = static_cast<std::size_t>(args.get_int("repeat"));
+  const auto repeat = args.get_int_as<std::size_t>("repeat");
   std::uint64_t request_id = 0;
   int rc = 0;
   for (std::size_t round = 0; round < std::max<std::size_t>(repeat, 1); ++round) {
@@ -281,13 +285,13 @@ int cmd_client(const std::vector<std::string>& argv, std::ostream& out) {
       req.tenant = args.get("tenant");
       req.query_name = q.name();
       req.query = q.to_string();
-      req.top_k = static_cast<std::uint32_t>(args.get_int("top"));
-      req.min_score = static_cast<std::int32_t>(args.get_int("min-score"));
+      req.top_k = args.get_int_as<std::uint32_t>("top");
+      req.min_score = args.get_int_as<std::int32_t>("min-score");
       req.filter = filter_name == "seeded" ? 1 : 0;
-      req.filter_threshold = static_cast<std::int32_t>(args.get_int("filter-threshold"));
+      req.filter_threshold = args.get_int_as<std::int32_t>("filter-threshold");
       req.align = args.has("align") ? 1 : 0;
-      req.max_hits = static_cast<std::uint32_t>(args.get_int("max-hits"));
-      req.deadline_ms = static_cast<std::uint32_t>(args.get_int("deadline-ms"));
+      req.max_hits = args.get_int_as<std::uint32_t>("max-hits");
+      req.deadline_ms = args.get_int_as<std::uint32_t>("deadline-ms");
 
       if (format != "tsv") {
         out << "query " << req.request_id << ": " << q.name() << " (" << q.size()

@@ -9,7 +9,7 @@ namespace swr::core {
 
 namespace {
 
-// The striped kernels (align/sw_striped.cpp) are compiled exactly under
+// The SIMD kernels (align/simd_kernels.hpp) are compiled exactly under
 // this condition; detection must never report an ISA the binary has no
 // code for, so the same gate appears here.
 #if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))

@@ -9,6 +9,7 @@
 // a scan does no per-record allocation either way).
 #pragma once
 
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -90,22 +91,29 @@ class RecordSource {
     return store_ != nullptr ? store_->schedule_order() : std::span<const std::uint32_t>{};
   }
 
-  /// Verifies every record alphabet matches `query`'s. Vector sources
-  /// check per record (mixed vectors are constructible); a store is
-  /// single-alphabet by format. @throws std::invalid_argument naming
-  /// `what` and the offending record.
-  void check_alphabet(const seq::Sequence& query, const char* what) const {
+  /// Verifies every record alphabet matches `query`'s — or, when `ids` is
+  /// given, just those records' (a scan chunk; the ids must be in range).
+  /// Vector sources check per record (mixed vectors are constructible); a
+  /// store is single-alphabet by format. @throws std::invalid_argument
+  /// naming `what` and the offending record.
+  void check_alphabet(const seq::Sequence& query, const char* what,
+                      std::optional<std::span<const std::uint32_t>> ids = std::nullopt) const {
     if (store_ != nullptr) {
       if (store_->alphabet().id() != query.alphabet().id()) {
         throw std::invalid_argument(std::string(what) + ": database alphabet mismatch");
       }
       return;
     }
-    for (std::size_t r = 0; r < records_->size(); ++r) {
+    const auto check = [&](std::size_t r) {
       if ((*records_)[r].alphabet().id() != query.alphabet().id()) {
         throw std::invalid_argument(std::string(what) + ": record " + std::to_string(r) +
                                     " alphabet mismatch");
       }
+    };
+    if (ids.has_value()) {
+      for (const std::uint32_t r : *ids) check(r);
+    } else {
+      for (std::size_t r = 0; r < records_->size(); ++r) check(r);
     }
   }
 

@@ -111,6 +111,7 @@ struct ScanMetrics {
   obs::Counter* simd_rec_scalar = nullptr;
   obs::Counter* simd_rec_striped8 = nullptr;
   obs::Counter* simd_rec_striped16 = nullptr;
+  obs::Counter* striped_rescan_rows = nullptr;
   obs::Counter* decode_reuse = nullptr;
   // Interseq-shape handles, fetched only when that shape resolved so a
   // striped scan never pays the extra registry lookups.
@@ -163,6 +164,7 @@ struct ScanMetrics {
     simd_rec_scalar = &reg->counter("scan.simd.records.scalar");
     simd_rec_striped8 = &reg->counter("scan.simd.records.striped8");
     simd_rec_striped16 = &reg->counter("scan.simd.records.striped16");
+    striped_rescan_rows = &reg->counter("scan.striped.rescan_rows");
     decode_reuse = &reg->counter("scan.db.decode_reuse");
     if (shape == KernelShape::InterSeq) {
       interseq_batches = &reg->counter("scan.interseq.batches");
@@ -444,15 +446,18 @@ void flush_scan_metrics(const ScanMetrics& metrics, const std::vector<Worker>& w
   std::uint64_t scalar = 0;
   std::uint64_t striped8 = 0;
   std::uint64_t striped16 = 0;
+  std::uint64_t rescan_rows = 0;
   for (const Worker& w : workers) {
     scalar += w.rec_scalar;
     striped8 += w.rec_striped8;
     striped16 += w.rec_striped16;
+    rescan_rows += w.sws.rescan_rows;
   }
   if (out.swar8_fallbacks != 0) metrics.simd_fallbacks->add(out.swar8_fallbacks);
   if (scalar != 0) metrics.simd_rec_scalar->add(scalar);
   if (striped8 != 0) metrics.simd_rec_striped8->add(striped8);
   if (striped16 != 0) metrics.simd_rec_striped16->add(striped16);
+  if (rescan_rows != 0) metrics.striped_rescan_rows->add(rescan_rows);
   std::uint64_t reused = 0;
   for (const Worker& w : workers) reused += w.decode_reused;
   if (reused != 0) metrics.decode_reuse->add(reused);
@@ -566,9 +571,6 @@ ScanResult scan_cpu(const seq::Sequence& query, const RecordSource& src,
                     const align::Scoring& sc, const ScanOptions& opt, const char* what) {
   opt.validate();
   sc.validate();
-  src.check_alphabet(query, what);
-  const bool seeded = opt.filter == FilterMode::Seeded;
-  if (seeded) require_seeded_source(src, what);
   const bool whole = !chunk.has_value();
   const std::span<const std::uint32_t> chunk_ids = chunk.value_or(std::span<const std::uint32_t>{});
   for (const std::uint32_t r : chunk_ids) {
@@ -577,6 +579,12 @@ ScanResult scan_cpu(const seq::Sequence& query, const RecordSource& src,
                                   " out of range");
     }
   }
+  // A chunk checks only its own records: the service already checked the
+  // whole source once at submit, and a per-chunk walk of every record
+  // would make each chunk O(records).
+  src.check_alphabet(query, what, chunk);
+  const bool seeded = opt.filter == FilterMode::Seeded;
+  if (seeded) require_seeded_source(src, what);
 
   ScanResult out;
   out.records_scanned = whole ? src.size() : chunk_ids.size();

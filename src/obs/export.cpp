@@ -45,6 +45,7 @@ std::string_view metric_description(std::string_view name) {
   if (name == "scan.filter.rescored") return "prefilter survivors rescored exactly";
   if (name == "scan.filter.recall_guard") return "short query/record guards kept for recall";
   if (name == "scan.filter.candidate_ratio") return "rescored share of domain (percent)";
+  if (name == "scan.striped.rescan_rows") return "striped rows rescanned for the tie-break";
   // svc.net.* partition every server request into exactly one outcome
   // (responses + shed + overloaded + invalid_requests + aborted ==
   // requests; the storm suite asserts it), and svc.cache.* are the two

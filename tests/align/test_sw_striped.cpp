@@ -241,6 +241,23 @@ TEST(Striped, WorkspaceReuseAcrossRecordsIsExact) {
   }
 }
 
+TEST(Striped, RescanRowsCountsTriggeredRows) {
+  // A record equal to the query raises the best cell on every row (row i
+  // holds the diagonal score i; no cell of row i - 1 exceeds i - 1), so
+  // every row's max reaches the threshold and runs the query-order rescan.
+  const std::vector<unsigned> widths = supported_lane_widths();
+  if (widths.empty()) GTEST_SKIP() << "no striped kernel runs on this CPU";
+  const seq::Sequence q = swr::test::random_dna(200, 404);
+  for (const unsigned lanes : widths) {
+    const StripedProfile p(q, kSc, lanes);
+    StripedWorkspace ws;
+    ASSERT_TRUE(sw_striped8_try(q.codes(), p, ws).has_value()) << lanes;
+    EXPECT_EQ(ws.rescan_rows, q.size()) << lanes << " lanes, 8-bit";
+    ASSERT_TRUE(sw_striped16_try(q.codes(), p, ws).has_value()) << lanes;
+    EXPECT_EQ(ws.rescan_rows, 2 * q.size()) << lanes << " lanes, 16-bit";
+  }
+}
+
 TEST(Striped, EmptyAndMismatch) {
   for (const unsigned lanes : supported_lane_widths()) {
     EXPECT_EQ(

@@ -73,6 +73,25 @@ TEST(Args, TypedAccessorsRejectGarbage) {
   EXPECT_THROW((void)p.get_double("n"), ArgError);
 }
 
+TEST(Args, RangeCheckedIntegers) {
+  ArgParser p;
+  p.option("n").option("zero").option("neg").option("big").option("word");
+  p.parse({"--n", "42", "--zero", "0", "--neg", "-1", "--big", "70000", "--word", "x"});
+  EXPECT_EQ(p.get_int_as<std::size_t>("n"), 42u);
+  EXPECT_EQ(p.get_int_as<std::size_t>("zero"), 0u);  // zero is the command's to judge
+  EXPECT_EQ(p.get_int_as<int>("neg", -5), -1);
+  EXPECT_EQ(p.get_int_as<std::uint32_t>("big"), 70000u);
+  EXPECT_THROW((void)p.get_int_as<std::size_t>("neg"), ArgError);
+  EXPECT_THROW((void)p.get_int_as<std::size_t>("n", 0, 41), ArgError);
+  EXPECT_THROW((void)p.get_int_as<std::uint16_t>("word"), ArgError);
+  try {
+    (void)p.get_int_as<std::uint16_t>("big");
+    ADD_FAILURE() << "70000 does not fit a port";
+  } catch (const ArgError& e) {
+    EXPECT_STREQ(e.what(), "option --big must be in [0, 65535], got 70000");
+  }
+}
+
 TEST(Args, UndeclaredAccessRejected) {
   ArgParser p;
   p.parse({});

@@ -294,6 +294,35 @@ TEST(CliServe, BoardThatDoesNotFitIsARuntimeError) {
   EXPECT_NE(r.err.find("do not fit"), std::string::npos) << r.err;
 }
 
+// Integer options are range-checked into their target type: a negative
+// or oversized value is a usage error (exit 2) naming the option, never a
+// wrapped count or port, nor a bare library exception.
+void expect_usage_error(const RunResult& r, const std::string& option) {
+  EXPECT_EQ(r.code, 2) << r.out << r.err;
+  EXPECT_NE(r.err.find("option --" + option), std::string::npos) << r.err;
+}
+
+TEST(CliIntegerOptions, ScanBatchNegativeBoards) {
+  const std::string swdb = board_fit_store("cli_int_boards_db");
+  const std::string q = write_fa("cli_int_boards_q", {seq::Sequence::dna("ACGTACGTACGT", "q")});
+  expect_usage_error(run("scan", {q, swdb, "--batch", "--boards", "-1"}), "boards");
+}
+
+TEST(CliIntegerOptions, ScanNegativeThreads) {
+  const std::string swdb = board_fit_store("cli_int_threads_db");
+  const std::string q = write_fa("cli_int_threads_q", {seq::Sequence::dna("ACGTACGTACGT", "q")});
+  expect_usage_error(run("scan", {q, swdb, "--threads", "-1"}), "threads");
+}
+
+TEST(CliIntegerOptions, ServePortOutOfRange) {
+  const std::string swdb = board_fit_store("cli_int_port_db");
+  expect_usage_error(run("serve", {"--db", swdb, "--port", "70000"}), "port");
+}
+
+TEST(CliIntegerOptions, ClientPortNotANumber) {
+  expect_usage_error(run("client", {"--port", "x", "--ping"}), "port");
+}
+
 TEST(CliScanBatch, ServesEveryQueryIdenticallyToSingleScans) {
   const auto recs = swdb_db_records();
   const std::string fa = write_fa("cli_batch_db", recs);

@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "seq/mutate.hpp"
 #include "seq/random.hpp"
+#include "svc/scan_service.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -410,6 +411,30 @@ TEST(ScanEngineKernelShape, ChunkScanParityAcrossShapes) {
     expect_same_scan_and_fallbacks(got, ref,
                                    std::string("chunk shape ") + core::kernel_shape_name(shape));
   }
+}
+
+TEST(ScanEngine, ChunkChecksOnlyItsOwnRecordsAlphabet) {
+  // A chunk checks the alphabet of its own records only; the whole
+  // source is checked once, by the service at submit.
+  const std::vector<seq::Sequence> records = {test::random_dna(40, 1), test::random_dna(40, 2),
+                                              test::random_protein(40, 3),
+                                              test::random_dna(40, 4)};
+  const seq::Sequence query = test::random_dna(20, 5);
+  const RecordSource src(records);
+  const std::vector<std::uint32_t> clean = {0, 1, 3};
+  EXPECT_EQ(scan_records_cpu(query, src, clean, kSc, ScanOptions{}).records_scanned, 3u);
+
+  const std::vector<std::uint32_t> mixed = {1, 2};
+  try {
+    (void)scan_records_cpu(query, src, mixed, kSc, ScanOptions{});
+    ADD_FAILURE() << "a chunk holding a protein record scanned a DNA query";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("record 2 alphabet mismatch"), std::string::npos)
+        << e.what();
+  }
+
+  svc::ScanService service(records, {});
+  EXPECT_THROW((void)service.try_submit(query, ScanOptions{}), std::invalid_argument);
 }
 
 TEST(FleetScanParallel, ThreadedFleetIdenticalToSequentialFleet) {
