@@ -55,6 +55,8 @@ align::Score score_option(const ArgParser& args, const std::string& name) {
   return args.get_int_as<align::Score>(name, std::numeric_limits<align::Score>::min());
 }
 
+}  // namespace
+
 align::Scoring scoring_from(const ArgParser& args, const seq::Alphabet& ab) {
   align::Scoring sc;
   if (ab.id() == seq::AlphabetId::Protein) {
@@ -67,6 +69,8 @@ align::Scoring scoring_from(const ArgParser& args, const seq::Alphabet& ab) {
   sc.validate();
   return sc;
 }
+
+namespace {
 
 seq::Sequence first_record(const std::string& path, const seq::Alphabet& ab) {
   const auto recs = seq::read_fasta_file(path, ab);

@@ -9,7 +9,20 @@
 #include <string>
 #include <vector>
 
+namespace swr::align {
+struct Scoring;
+}
+namespace swr::seq {
+class Alphabet;
+}
+
 namespace swr::cli {
+
+class ArgParser;
+
+/// The linear-gap scheme from --match/--mismatch/--gap over the
+/// alphabet's default (BLOSUM62 with gap -8 for protein), validated.
+align::Scoring scoring_from(const ArgParser& args, const seq::Alphabet& ab);
 
 /// Executes one subcommand. Returns a process exit code (0 = success).
 /// Errors (bad usage, unreadable files) are reported on `err` with a

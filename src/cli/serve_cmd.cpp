@@ -2,16 +2,20 @@
 
 #include <atomic>
 #include <bit>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <fstream>
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "align/scoring.hpp"
 #include "cli/args.hpp"
+#include "cli/commands.hpp"
 #include "core/topology.hpp"
 #include "db/store.hpp"
 #include "obs/export.hpp"
@@ -27,23 +31,6 @@ std::atomic<bool> g_serve_stop{false};
 
 void serve_signal_handler(int) { g_serve_stop.store(true, std::memory_order_relaxed); }
 
-align::Scoring serve_scoring(const ArgParser& args, const seq::Alphabet& ab) {
-  align::Scoring sc;
-  if (ab.id() == seq::AlphabetId::Protein) {
-    sc.matrix = &align::blosum62();
-    sc.gap = -8;
-  }
-  // Any Score: Scoring::validate judges the signs.
-  constexpr align::Score kLowest = std::numeric_limits<align::Score>::min();
-  if (args.get_optional("match")) sc.match = args.get_int_as<align::Score>("match", kLowest);
-  if (args.get_optional("mismatch")) {
-    sc.mismatch = args.get_int_as<align::Score>("mismatch", kLowest);
-  }
-  if (args.get_optional("gap")) sc.gap = args.get_int_as<align::Score>("gap", kLowest);
-  sc.validate();
-  return sc;
-}
-
 // --numa spelling/validation lives in core/topology; bad values are
 // usage errors here.
 core::NumaRequest numa_request_by_name(const std::string& name) {
@@ -54,19 +41,38 @@ core::NumaRequest numa_request_by_name(const std::string& name) {
   }
 }
 
-svc::net::TenantTable::Limits parse_limits(const std::string& spec) {
-  // "rate" or "rate/burst"; rate may be fractional (0.5 = one every 2s).
+// A request rate: a finite number >= 0 (0 = unlimited), nothing else.
+double parse_rate(std::string_view text, const std::string& option) {
+  double v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (text.empty() || ec != std::errc{} || end != text.data() + text.size() ||
+      !std::isfinite(v) || v < 0) {
+    throw ArgError("option --" + option + " wants a rate that is a finite number >= 0, got '" +
+                   std::string(text) + "'");
+  }
+  return v;
+}
+
+// A --tenants burst: an integer >= 1 in plain digits (no sign, no
+// trailing text).
+std::size_t parse_burst(std::string_view text) {
+  std::size_t v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (text.empty() || ec != std::errc{} || end != text.data() + text.size() || v == 0) {
+    throw ArgError("option --tenants wants a burst that is an integer >= 1, got '" +
+                   std::string(text) + "'");
+  }
+  return v;
+}
+
+// "rate" or "rate/burst"; rate may be fractional (0.5 = one every 2s).
+svc::net::TenantTable::Limits parse_limits(std::string_view spec) {
   svc::net::TenantTable::Limits lim;
   const std::size_t slash = spec.find('/');
-  try {
-    lim.rate_per_s = std::stod(spec.substr(0, slash));
-    if (slash != std::string::npos) {
-      lim.burst = std::stoul(spec.substr(slash + 1));
-    }
-  } catch (const std::exception&) {
-    throw ArgError("bad rate limit '" + spec + "' (want <rate> or <rate>/<burst>)");
+  lim.rate_per_s = parse_rate(spec.substr(0, slash), "tenants");
+  if (slash != std::string_view::npos) {
+    lim.burst = static_cast<double>(parse_burst(spec.substr(slash + 1)));
   }
-  if (lim.burst == 0) throw ArgError("burst must be >= 1 in '" + spec + "'");
   return lim;
 }
 
@@ -81,7 +87,7 @@ std::map<std::string, svc::net::TenantTable::Limits> parse_tenants(const std::st
     if (eq == std::string::npos || eq == 0) {
       throw ArgError("bad tenant spec '" + item + "' (want name=<rate>[/<burst>])");
     }
-    out[item.substr(0, eq)] = parse_limits(item.substr(eq + 1));
+    out[item.substr(0, eq)] = parse_limits(std::string_view(item).substr(eq + 1));
   }
   if (out.empty()) throw ArgError("--tenants given but no tenants parsed from '" + spec + "'");
   return out;
@@ -172,14 +178,14 @@ int cmd_serve(const std::vector<std::string>& argv, std::ostream& out) {
   cfg.service.queue_capacity = args.get_int_as<std::size_t>("queue");
   cfg.service.chunk_records = args.get_int_as<std::size_t>("chunk");
   cfg.service.numa = numa_request_by_name(args.get("numa"));
-  cfg.service.scoring = serve_scoring(args, store.alphabet());
+  cfg.service.scoring = scoring_from(args, store.alphabet());
   cfg.service.metrics = reg;
   cfg.host = args.get("host");
   cfg.port = args.get_int_as<std::uint16_t>("port");
   cfg.write_timeout = std::chrono::milliseconds(args.get_int_as<std::int64_t>("write-timeout-ms"));
   cfg.idle_timeout = std::chrono::milliseconds(args.get_int_as<std::int64_t>("idle-timeout-ms"));
-  cfg.default_limits.rate_per_s = args.get_double("rate");
-  cfg.default_limits.burst = args.get_int_as<std::size_t>("burst");
+  cfg.default_limits.rate_per_s = parse_rate(args.get("rate"), "rate");
+  cfg.default_limits.burst = static_cast<double>(args.get_int_as<std::size_t>("burst", 1));
   if (const auto tenants = args.get_optional("tenants")) {
     cfg.tenant_limits = parse_tenants(*tenants);
   }

@@ -16,6 +16,7 @@
 // model saturates exactly like a synthesized datapath of that width.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "align/result.hpp"
@@ -88,6 +89,18 @@ class ScorePe {
   [[nodiscard]] bool active() const noexcept { return active_; }
   [[nodiscard]] bool barrier() const noexcept { return barrier_; }
 
+  /// The figure-6 cell: D = max(0, A + s(SP,SB), max(B, C) + gap), every
+  /// add through the datapath's saturating adder. The one copy of the
+  /// recurrence: evaluate() and the array's in-place chain both call it.
+  [[nodiscard]] static align::Score cell(align::Score a, align::Score b, align::Score c,
+                                         align::Score sub, align::Score gap,
+                                         const hw::SatArith& sat) noexcept {
+    const align::Score diag = sat.add(a, sub);
+    const align::Score gapped = sat.add(c > b ? c : b, gap);
+    const align::Score d = diag > gapped ? diag : gapped;
+    return d < 0 ? 0 : d;
+  }
+
   /// Combinational phase.
   void evaluate(ArrayMode mode, const PeLink& in, const DrainSlot& drain_in,
                 const PeContext& ctx) noexcept {
@@ -115,13 +128,9 @@ class ScorePe {
           out_.set_next(PeLink{in.base, 0, 0, true});
           break;
         }
-        const align::Score sub = ctx.scoring.substitution(sp_, in.base);
-        const align::Score diag = ctx.sat.add(a_.get(), sub);
-        const align::Score upleft = in.score > b_.get() ? in.score : b_.get();
-        const align::Score gap = ctx.sat.add(upleft, ctx.scoring.gap);
-        align::Score d = diag > gap ? diag : gap;
-        if (d < 0) d = 0;
-
+        const align::Score d = cell(a_.get(), b_.get(), in.score,
+                                    ctx.scoring.substitution(sp_, in.base), ctx.scoring.gap,
+                                    ctx.sat);
         a_.set_next(in.score);
         b_.set_next(d);
         const std::uint64_t row = cl_.get() + 1;  // 1-based row of this cell
@@ -175,6 +184,9 @@ class ScorePe {
   [[nodiscard]] std::uint64_t reg_cl() const noexcept { return cl_.get(); }
 
  private:
+  template <typename>
+  friend class SystolicArray;  // builds pe(j) snapshots of its register arrays
+
   seq::Code sp_ = 0;
   bool active_ = false;
   bool barrier_ = false;
@@ -199,6 +211,30 @@ class AffinePe {
   }
   [[nodiscard]] bool active() const noexcept { return active_; }
 
+  /// H and the two gap layers of one cell.
+  struct Cell {
+    align::Score h, e, f;
+  };
+
+  /// The three-layer cell from the diagonal A, the upper B and F, and the
+  /// left cell's H (C) and E, every add through the saturating adder. The
+  /// one copy of the recurrence: evaluate() and the array's in-place chain
+  /// both call it.
+  [[nodiscard]] static Cell cell(align::Score a, align::Score b, align::Score f, align::Score c,
+                                 align::Score ce, align::Score sub,
+                                 const align::AffineScoring& sc,
+                                 const hw::SatArith& sat) noexcept {
+    const align::Score open_ext = sc.gap_open + sc.gap_extend;
+    // E(i,j): continue the left gap or open from the left H.
+    const align::Score e = std::max(sat.add(ce, sc.gap_extend), sat.add(c, open_ext));
+    // F(i,j): continue the upper gap or open from the upper H.
+    const align::Score fn = std::max(sat.add(f, sc.gap_extend), sat.add(b, open_ext));
+    const align::Score diag = sat.add(a, sub);
+    align::Score h = diag > e ? diag : e;
+    if (fn > h) h = fn;
+    return {h < 0 ? 0 : h, e, fn};
+  }
+
   void evaluate(ArrayMode mode, const PeLink& in, const DrainSlot& drain_in,
                 const AffinePeContext& ctx) noexcept {
     a_.set_next(a_.get());
@@ -217,29 +253,18 @@ class AffinePe {
         break;
       case ArrayMode::Compute: {
         if (!in.valid) break;
-        const auto& sat = ctx.sat;
-        const align::Score open_ext = ctx.scoring.gap_open + ctx.scoring.gap_extend;
-        // E(i,j): continue the left gap or open from the left H.
-        const align::Score e = std::max(sat.add(in.escore, ctx.scoring.gap_extend),
-                                        sat.add(in.score, open_ext));
-        // F(i,j): continue the upper gap or open from the upper H.
-        const align::Score f = std::max(sat.add(f_.get(), ctx.scoring.gap_extend),
-                                        sat.add(b_.get(), open_ext));
-        const align::Score diag = sat.add(a_.get(), ctx.scoring.substitution(sp_, in.base));
-        align::Score h = diag > e ? diag : e;
-        if (f > h) h = f;
-        if (h < 0) h = 0;
-
+        const Cell c = cell(a_.get(), b_.get(), f_.get(), in.score, in.escore,
+                            ctx.scoring.substitution(sp_, in.base), ctx.scoring, ctx.sat);
         a_.set_next(in.score);
-        b_.set_next(h);
-        f_.set_next(f);
+        b_.set_next(c.h);
+        f_.set_next(c.f);
         const std::uint64_t row = cl_.get() + 1;
         cl_.set_next(row);
-        if (h > bs_.get()) {
-          bs_.set_next(h);
+        if (c.h > bs_.get()) {
+          bs_.set_next(c.h);
           bc_.set_next(row);
         }
-        out_.set_next(PeLink{in.base, h, e, true});
+        out_.set_next(PeLink{in.base, c.h, c.e, true});
         break;
       }
       case ArrayMode::DrainLoad:
@@ -279,6 +304,9 @@ class AffinePe {
   [[nodiscard]] std::uint64_t reg_bc() const noexcept { return bc_.get(); }
 
  private:
+  template <typename>
+  friend class SystolicArray;  // builds pe(j) snapshots of its register arrays
+
   seq::Code sp_ = 0;
   bool active_ = false;
   hw::Reg<align::Score> a_{0};

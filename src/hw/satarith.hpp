@@ -53,6 +53,7 @@ class SatArith {
   /// workload — surfaced in accelerator stats.
   [[nodiscard]] std::uint64_t saturation_count() const noexcept { return saturations_; }
   void reset_saturation_count() const noexcept { saturations_ = 0; }
+  void add_saturations(std::uint64_t n) const noexcept { saturations_ += n; }
 
  private:
   unsigned bits_;

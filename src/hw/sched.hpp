@@ -3,9 +3,9 @@
 // Dense is the textbook stepper: every module element is evaluated and
 // committed every clock. Event is the activity-driven scheduler (kpu-sim
 // style): only elements whose registered state can change this cycle are
-// touched. The two are bit-identical by construction — the event mode is
-// licensed by the Reg invariant that committing a non-evaluated element is
-// a no-op — and CI runs every hardware suite under both policies.
+// touched. The two are bit-identical — an element left out holds an
+// invalid input and an invalid output, so the edge would keep its state —
+// and CI runs every hardware suite under both policies.
 //
 // Selection follows the SWR_SIMD/SWR_KERNEL convention: a process-wide
 // default from the SWR_HW_SCHED environment variable (event when unset),

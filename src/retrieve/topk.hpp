@@ -45,11 +45,14 @@ void topk_union(std::vector<T>& acc, std::vector<T>&& partial) {
 
 /// Sorts the union under the total order and trims to `k` (0 = keep all).
 /// This is the determinism seal: a total order admits exactly one sorted
-/// permutation, so the result cannot depend on shard boundaries.
+/// permutation, so the result cannot depend on shard boundaries. The union
+/// held every shard's list; the sealed list gives that capacity back, so a
+/// kept result costs its k items, not all the shards'.
 template <typename T, typename Less>
 void topk_finalize(std::vector<T>& acc, std::size_t k, Less ranks_before) {
   std::sort(acc.begin(), acc.end(), ranks_before);
   if (k != 0 && acc.size() > k) acc.resize(k);
+  acc.shrink_to_fit();
 }
 
 }  // namespace swr::retrieve

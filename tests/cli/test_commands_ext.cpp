@@ -323,6 +323,29 @@ TEST(CliIntegerOptions, ClientPortNotANumber) {
   expect_usage_error(run("client", {"--port", "x", "--ping"}), "port");
 }
 
+// Rate limits parse strictly: a rate is a finite number >= 0 and a burst
+// an integer >= 1 in plain digits. A sign, trailing text or NaN is a usage
+// error naming the option, never a wrapped burst that turns the limit off.
+TEST(CliServeLimits, TenantBurstWithASign) {
+  const std::string swdb = board_fit_store("cli_limits_sign_db");
+  expect_usage_error(run("serve", {"--db", swdb, "--tenants", "alice=10/-1"}), "tenants");
+}
+
+TEST(CliServeLimits, TenantBurstWithTrailingText) {
+  const std::string swdb = board_fit_store("cli_limits_trail_db");
+  expect_usage_error(run("serve", {"--db", swdb, "--tenants", "alice=10/5x"}), "tenants");
+}
+
+TEST(CliServeLimits, TenantRateNan) {
+  const std::string swdb = board_fit_store("cli_limits_tnan_db");
+  expect_usage_error(run("serve", {"--db", swdb, "--tenants", "alice=nan/2"}), "tenants");
+}
+
+TEST(CliServeLimits, RateNan) {
+  const std::string swdb = board_fit_store("cli_limits_nan_db");
+  expect_usage_error(run("serve", {"--db", swdb, "--rate", "nan"}), "rate");
+}
+
 TEST(CliScanBatch, ServesEveryQueryIdenticallyToSingleScans) {
   const auto recs = swdb_db_records();
   const std::string fa = write_fa("cli_batch_db", recs);

@@ -213,6 +213,19 @@ TEST(FleetScan, BusModelAddsTransferTimeWithoutMovingHits) {
   EXPECT_GT(b.board_seconds, a.board_seconds);  // the bus costs real time
 }
 
+TEST(FleetMerge, MergedHitsKeepNoSpareCapacity) {
+  // Four boards each return their own top 3; the merged list keeps 3
+  // hits and no room for the other boards' lists.
+  const Fixture fx(37);
+  ScanOptions opt;
+  opt.top_k = 3;
+  opt.min_score = 1;
+  core::BoardFleet fleet = core::make_board_fleet({.boards = 4, .pes_per_board = 40}, kSc);
+  const ScanResult r = scan_database_fleet(fleet, fx.query, fx.records, opt);
+  ASSERT_EQ(r.hits.size(), 3u);
+  EXPECT_EQ(r.hits.capacity(), r.hits.size());
+}
+
 TEST(FleetOptions, CatalogAndValidation) {
   core::FleetOptions fo;
   fo.device = "nosuch-device";

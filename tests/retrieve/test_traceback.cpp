@@ -72,6 +72,22 @@ TEST(TopK, UnionFinalizeIsShardInvariant) {
   }
 }
 
+TEST(TopK, FinalizeReleasesUnionCapacity) {
+  // Four shards of ten unioned, then trimmed to ten: the sealed list must
+  // not keep the union's forty slots.
+  std::vector<int> merged;
+  for (int shard = 0; shard < 4; ++shard) {
+    std::vector<int> part;
+    for (int x = 0; x < 10; ++x) part.push_back(shard * 10 + x);
+    retrieve::topk_union(merged, std::move(part));
+  }
+  ASSERT_GE(merged.capacity(), 40u);
+  retrieve::topk_finalize(merged, 10, std::less<int>{});
+  EXPECT_EQ(merged.size(), 10u);
+  EXPECT_EQ(merged.capacity(), merged.size());
+  EXPECT_EQ(merged.front(), 0);
+}
+
 TEST(TopK, ZeroKeepsEverything) {
   std::vector<int> top;
   for (const int x : {5, 3, 9, 3, 1}) retrieve::topk_insert(top, x, 0, std::less<int>{});
