@@ -746,11 +746,8 @@ int cmd_swdb(const std::vector<std::string>& argv, std::ostream& out) {
       }
       if (store.has_kmer_index()) {
         const db::KmerIndexView& idx = store.kmer_index();
-        const std::uint64_t index_bytes =
-            sizeof(db::KmerIndexHeader) + (idx.bucket_count() + 1) * sizeof(std::uint64_t) +
-            idx.postings_count() * sizeof(db::KmerPosting);
         out << "  \"kmer_index\": {\"k\": " << idx.k() << ", \"buckets\": " << idx.bucket_count()
-            << ", \"postings\": " << idx.postings_count() << ", \"bytes\": " << index_bytes
+            << ", \"postings\": " << idx.postings_count() << ", \"bytes\": " << idx.bytes()
             << ", \"load_factor\": " << idx.load_factor() << "},\n";
       } else {
         out << "  \"kmer_index\": null,\n";
@@ -786,21 +783,18 @@ int cmd_swdb(const std::vector<std::string>& argv, std::ostream& out) {
     }
     if (store.has_kmer_index()) {
       const db::KmerIndexView& idx = store.kmer_index();
-      const std::uint64_t index_bytes =
-          sizeof(db::KmerIndexHeader) + (idx.bucket_count() + 1) * sizeof(std::uint64_t) +
-          idx.postings_count() * sizeof(db::KmerPosting);
       std::ostringstream lf;
       lf.precision(1);
       lf << std::fixed << idx.load_factor() * 100.0;
       out << "  k-mer index: k=" << idx.k() << ", " << idx.bucket_count() << " buckets, "
-          << idx.postings_count() << " postings, " << index_bytes << " bytes, load factor "
+          << idx.postings_count() << " postings, " << idx.bytes() << " bytes, load factor "
           << lf.str() << "%\n";
     } else {
       out << "  no k-mer index (rebuild with `swr swdb build` to enable --filter seeded)\n";
     }
     if (args.has("verify")) {
       store.verify_payload();
-      out << "  payload hash OK\n";
+      out << "  payload hash OK" << (store.has_kmer_index() ? ", index hash OK" : "") << "\n";
     }
     return 0;
   }

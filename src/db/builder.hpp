@@ -22,9 +22,9 @@ struct BuildOptions {
   enum class Pick : std::uint8_t { Auto, Raw8, Packed2 };
   Pick encoding = Pick::Auto;
 
-  /// Write the k-mer index section (format v2). false writes a v1 file —
-  /// byte-identical to pre-index builds, scannable with --filter exact
-  /// only.
+  /// Write the k-mer index section (format v3; the database must hold
+  /// fewer than 2^32 residues). false writes a v1 file — byte-identical to
+  /// pre-index builds, scannable with --filter exact only.
   bool kmer_index = true;
 
   /// Seed length; 0 picks the largest k whose dense bucket table
@@ -52,9 +52,13 @@ struct BuildStats {
   std::uint64_t index_bytes = 0;
 };
 
-/// Writes `records` (all over the same alphabet) to `path`.
-/// @throws StoreError on I/O failure, mixed alphabets, or a record too
-/// large for the format (length must fit in 32 bits).
+/// Writes `records` (all over the same alphabet) to `path`. The store is
+/// written to a sibling temp file, fsynced and renamed over `path`, so a
+/// Store still mapping the old file keeps reading it and a failed build
+/// leaves the old file in place.
+/// @throws StoreError on I/O failure, mixed alphabets, a record too large
+/// for the format (length must fit in 32 bits), or an index over 2^32 or
+/// more residues.
 BuildStats build_store(const std::vector<seq::Sequence>& records, const std::string& path,
                        const BuildOptions& opt = {});
 

@@ -17,25 +17,33 @@
 //   meta_end                        u32 schedule_order[record_count]
 //   order_end                       name blob (names_bytes)
 //   align8(names_end)               residue payload (payload_bytes)
-//   align8(payload_end)             k-mer index (format v2 only)
+//   align8(payload_end)             k-mer index (format v3 only)
 //
 // schedule_order is a permutation of record ids sorted by length
 // descending (ties by id): an LPT-style static dispatch order, so a
 // scheduler handing out contiguous slices of it gives every worker a
 // balanced mix instead of one worker drawing all the long records.
 //
-// Format v2 appends a k-mer seed index — the build-once artifact the
+// Format v3 appends a k-mer seed index — the build-once artifact the
 // seeded scan prefilter (`scan --filter seeded`) consults per query:
 //
 //   KmerIndexHeader (48 bytes, own magic + checksum)
-//   u64 offsets[bucket_count + 1]   CSR bucket offsets into postings
-//   KmerPosting postings[postings_count]
+//   u32 offsets[bucket_count + 1]   CSR bucket offsets into postings
+//   u32 postings[postings_count]    global residue positions
 //
 // Buckets are dense base-|alphabet| codes of each k-mer (no hashing, no
-// collisions); bucket b's postings are postings[offsets[b]..offsets[b+1])
-// sorted by (record, pos) — contiguous, so a query walk touches the
-// mapping sequentially. v1 files simply lack the section: they open and
-// scan exactly as before, and only `--filter seeded` demands a rebuild.
+// collisions); bucket b's postings are postings[offsets[b]..offsets[b+1]).
+// A posting is the k-mer's start in the records laid end to end in id
+// order (record r's residues occupy [start(r), start(r) + length(r))), so
+// ascending postings are ascending (record, pos) and a bucket walk touches
+// the mapping sequentially. The reader decodes a posting through a
+// residue-start table it builds from the record lengths; 32-bit postings
+// cap an indexed store below 2^32 residues (--no-index has no cap).
+//
+// v1 files simply lack the section: they open and scan exactly as before,
+// and only `--filter seeded` demands a rebuild. v2 files (the earlier
+// index layout: u64 offsets, (record, pos) postings) are refused at open
+// with the rebuild command, so the reader knows one index layout.
 #pragma once
 
 #include <array>
@@ -53,10 +61,11 @@ class StoreError : public std::runtime_error {
 };
 
 inline constexpr std::array<char, 8> kMagic = {'S', 'W', 'R', 'S', 'W', 'D', 'B', '1'};
-/// v1: header + meta + order + names + payload. v2: v1 plus a trailing
-/// k-mer index section. The reader accepts both.
+/// v1: header + meta + order + names + payload. v3: v1 plus a trailing
+/// k-mer index section. The reader accepts both and refuses v2.
 inline constexpr std::uint32_t kFormatVersion = 1;
-inline constexpr std::uint32_t kFormatVersionIndexed = 2;
+inline constexpr std::uint32_t kFormatVersionIndexedV2 = 2;
+inline constexpr std::uint32_t kFormatVersionIndexed = 3;
 
 /// How the residue payload is encoded.
 enum class Encoding : std::uint8_t {
@@ -80,7 +89,9 @@ inline std::uint64_t fnv1a(const void* data, std::size_t bytes,
 /// Fixed-size file header. `header_hash` is fnv1a over the 56 bytes that
 /// precede it, so any corruption of the header itself is caught before a
 /// single offset is trusted. `payload_hash` covers everything after the
-/// header (meta + order + names + payload); Store::open does NOT verify it
+/// header up to the k-mer index header (meta + order + names + payload and
+/// their padding; in a v1 file, everything after the header); the index
+/// body carries its own `index_hash`. Store::open does NOT verify either
 /// (open stays O(1) — that is the point of mmap), Store::verify_payload
 /// does.
 struct FileHeader {
@@ -128,23 +139,23 @@ inline std::uint32_t length_bucket(std::size_t length) noexcept {
 
 inline std::size_t align8(std::size_t n) noexcept { return (n + 7) & ~std::size_t{7}; }
 
-// ---- k-mer index section (format v2) --------------------------------------
+// ---- k-mer index section (format v3) --------------------------------------
 
 inline constexpr std::array<char, 8> kIndexMagic = {'S', 'W', 'R', 'K', 'I', 'D', 'X', '1'};
-inline constexpr std::uint32_t kIndexVersion = 1;
+/// Index layout 2: u32 offsets, u32 global-position postings (format v3).
+inline constexpr std::uint32_t kIndexVersion = 2;
 
-/// One seed occurrence: k-mer starting at residue `pos` of record `record`.
+/// One decoded seed occurrence: the k-mer starting at residue `pos` of
+/// record `record` (KmerIndexView::locate).
 struct KmerPosting {
   std::uint32_t record = 0;
   std::uint32_t pos = 0;
 };
-static_assert(sizeof(KmerPosting) == 8, "KmerPosting must be exactly 8 bytes");
 
 /// Header of the k-mer index section. Checksummed like FileHeader:
-/// `header_hash` is fnv1a over the bytes that precede it, `index_hash`
-/// covers the offsets + postings arrays that follow the header (the
-/// file-level payload_hash covers them too — index_hash lets `swdb info
-/// --verify` attribute a corruption to the index specifically).
+/// `header_hash` is fnv1a over the bytes that precede it; `index_hash`
+/// covers the offsets + postings arrays that follow the header, which the
+/// file-level payload_hash does not.
 struct KmerIndexHeader {
   std::array<char, 8> magic = kIndexMagic;
   std::uint32_t version = kIndexVersion;
@@ -159,6 +170,17 @@ struct KmerIndexHeader {
   }
 };
 static_assert(sizeof(KmerIndexHeader) == 48, "KmerIndexHeader must be exactly 48 bytes");
+
+/// Bytes of an index section: header, u32 offsets[bucket_count + 1] and
+/// u32 postings[postings_count]. The builder's BuildStats::index_bytes and
+/// the reader's KmerIndexView::bytes both come from here.
+inline constexpr std::uint64_t kmer_index_bytes(std::uint64_t bucket_count,
+                                                std::uint64_t postings_count) noexcept {
+  return sizeof(KmerIndexHeader) + (bucket_count + 1 + postings_count) * sizeof(std::uint32_t);
+}
+
+/// Residues an indexed store may hold: every posting is a u32 position.
+inline constexpr std::uint64_t kMaxIndexedResidues = std::uint64_t{1} << 32;
 
 /// base^k with overflow detection; 0 on overflow (never a valid count —
 /// k >= 1 and base >= 2 everywhere a bucket count is formed).

@@ -87,6 +87,9 @@ Store Store::open(const std::string& path, obs::Registry* metrics, bool populate
   std::memcpy(&s.header_, s.data_, sizeof(FileHeader));
   const FileHeader& h = s.header_;
   if (h.magic != kMagic) fail(path, "bad magic (not a .swdb file)");
+  if (h.version == kFormatVersionIndexedV2) {
+    fail(path, "format v2 k-mer index is no longer read — rebuild the store with `swr swdb build`");
+  }
   if (h.version != kFormatVersion && h.version != kFormatVersionIndexed) {
     fail(path, "unsupported format version " + std::to_string(h.version));
   }
@@ -121,6 +124,16 @@ Store Store::open(const std::string& path, obs::Registry* metrics, bool populate
   s.names_ = reinterpret_cast<const char*>(s.data_ + names_off);
   s.payload_ = s.data_ + payload_off;
 
+  // An indexed store's postings are 32-bit residue positions, decoded
+  // through the residue start of every record, laid end to end in id order.
+  const bool indexed = h.version == kFormatVersionIndexed;
+  if (indexed) {
+    if (h.total_residues >= kMaxIndexedResidues) {
+      fail(path, "k-mer index over 2^32 or more residues");
+    }
+    s.starts_.resize(n + 1);
+  }
+  std::uint64_t residues = 0;
   for (std::size_t r = 0; r < n; ++r) {
     const RecordMeta& m = s.meta_[r];
     const std::size_t rb = record_bytes(s.encoding(), m.length);
@@ -131,14 +144,18 @@ Store Store::open(const std::string& path, obs::Registry* metrics, bool populate
       fail(path, "record " + std::to_string(r) + " name range out of bounds");
     }
     if (s.order_[r] >= n) fail(path, "schedule order entry out of range");
+    if (indexed) s.starts_[r] = static_cast<std::uint32_t>(residues);
+    residues += m.length;
   }
+  if (residues != h.total_residues) fail(path, "record lengths do not sum to total_residues");
 
-  // Format v2: the k-mer index section trails the payload. Same contract
+  // Format v3: the k-mer index section trails the payload. Same contract
   // as the other sections — structural bounds are validated before any
   // pointer is formed (open stays O(1)); the array *contents* are covered
-  // by header_hash/index_hash + verify_payload, and postings_for clamps
-  // defensively.
-  if (h.version == kFormatVersionIndexed) {
+  // by index_hash + verify_payload, postings_for clamps defensively and
+  // locate rejects a posting past the last residue.
+  if (indexed) {
+    s.starts_[n] = static_cast<std::uint32_t>(residues);
     const std::size_t index_off = align8(payload_off + h.payload_bytes);
     if (index_off > s.bytes_ || sizeof(KmerIndexHeader) > s.bytes_ - index_off) {
       fail(path, "truncated k-mer index header");
@@ -151,23 +168,28 @@ Store Store::open(const std::string& path, obs::Registry* metrics, bool populate
     }
     if (ih.header_hash != ih.compute_header_hash()) fail(path, "k-mer index checksum mismatch");
     if (ih.k < 2 || ih.k > 31) fail(path, "k-mer index k out of range");
-    if (ih.bucket_count != kmer_bucket_count(s.alphabet_->size(), ih.k)) {
+    if (ih.bucket_count == 0 ||
+        ih.bucket_count != kmer_bucket_count(s.alphabet_->size(), ih.k)) {
       fail(path, "k-mer index bucket count does not match alphabet and k");
     }
+    if (ih.postings_count > h.total_residues) fail(path, "k-mer index postings exceed residues");
     const std::size_t offsets_off = index_off + sizeof(KmerIndexHeader);
-    if (ih.bucket_count + 1 > (s.bytes_ - offsets_off) / sizeof(std::uint64_t)) {
-      fail(path, "truncated k-mer index offsets");
+    const std::uint64_t words = (s.bytes_ - offsets_off) / sizeof(std::uint32_t);
+    if (ih.bucket_count >= words || ih.postings_count > words - ih.bucket_count - 1) {
+      fail(path, "truncated k-mer index");
+    }
+    if (kmer_index_bytes(ih.bucket_count, ih.postings_count) != s.bytes_ - index_off) {
+      fail(path, "trailing bytes after the k-mer index");
     }
     const std::size_t postings_off =
-        offsets_off + (ih.bucket_count + 1) * sizeof(std::uint64_t);
-    if (ih.postings_count > (s.bytes_ - postings_off) / sizeof(KmerPosting)) {
-      fail(path, "truncated k-mer index postings");
-    }
+        offsets_off + (ih.bucket_count + 1) * sizeof(std::uint32_t);
+    s.index_header_ = ih;
     s.kindex_.k_ = ih.k;
-    s.kindex_.offsets_ = {reinterpret_cast<const std::uint64_t*>(s.data_ + offsets_off),
+    s.kindex_.offsets_ = {reinterpret_cast<const std::uint32_t*>(s.data_ + offsets_off),
                           static_cast<std::size_t>(ih.bucket_count) + 1};
-    s.kindex_.postings_ = {reinterpret_cast<const KmerPosting*>(s.data_ + postings_off),
+    s.kindex_.postings_ = {reinterpret_cast<const std::uint32_t*>(s.data_ + postings_off),
                            static_cast<std::size_t>(ih.postings_count)};
+    s.kindex_.starts_ = s.starts_;
   }
 
   if (metrics != nullptr) {
@@ -196,6 +218,8 @@ Store& Store::operator=(Store&& other) noexcept {
   names_ = std::exchange(other.names_, nullptr);
   payload_ = std::exchange(other.payload_, nullptr);
   kindex_ = std::exchange(other.kindex_, {});
+  index_header_ = other.index_header_;
+  starts_ = std::move(other.starts_);  // kindex_.starts_ keeps viewing the moved buffer
   if (!mapped_ && data_ != nullptr) data_ = fallback_.data();
   return *this;
 }
@@ -234,6 +258,13 @@ seq::Sequence Store::sequence(std::size_t r) const {
   const std::span<const seq::Code> view = this->codes(r, codes);
   if (view.data() != codes.data()) codes.assign(view.begin(), view.end());
   return seq::Sequence(*alphabet_, std::move(codes), std::string(name(r)));
+}
+
+void KmerIndexView::throw_past_end(std::uint32_t posting) const {
+  throw StoreError("swdb k-mer index: posting " + std::to_string(posting) +
+                   " lies past the last residue (" +
+                   std::to_string(starts_.empty() ? 0 : starts_.back()) +
+                   "); the index is corrupt — rebuild the store with `swr swdb build`");
 }
 
 double KmerIndexView::load_factor() const noexcept {
@@ -353,15 +384,22 @@ PayloadResidency Store::payload_residency() const noexcept {
 void Store::verify_payload(obs::Registry* metrics) const {
   const auto start = std::chrono::steady_clock::now();
   advise_sequential(metrics);
-  const std::uint64_t got =
-      fnv1a(data_ + sizeof(FileHeader), bytes_ - sizeof(FileHeader));
+  // payload_hash stops at the index header, which open checked; the index
+  // body after it, which ends the file, has its own index_hash (format.hpp).
+  const std::size_t payload_end = has_kmer_index() ? bytes_ - kindex_.bytes() : bytes_;
+  const std::size_t body_off = payload_end + sizeof(KmerIndexHeader);
+  const bool payload_ok =
+      fnv1a(data_ + sizeof(FileHeader), payload_end - sizeof(FileHeader)) == header_.payload_hash;
+  const bool index_ok = !has_kmer_index() ||
+                        fnv1a(data_ + body_off, bytes_ - body_off) == index_header_.index_hash;
   if (metrics != nullptr) {
     metrics->counter("db.verifies").add(1);
     metrics->counter("db.bytes_verified").add(bytes_ - sizeof(FileHeader));
     metrics->histogram("db.verify_us").observe_seconds(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
   }
-  if (got != header_.payload_hash) fail(path_, "payload checksum mismatch");
+  if (!payload_ok) fail(path_, "payload checksum mismatch");
+  if (!index_ok) fail(path_, "k-mer index checksum mismatch (index_hash)");
 }
 
 namespace {

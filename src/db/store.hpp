@@ -29,24 +29,46 @@ class Registry;
 
 namespace swr::db {
 
-/// Read-only view of a store's k-mer index section (format v2). Spans
-/// point straight into the mapping; valid for the Store's lifetime.
+/// Read-only view of a store's k-mer index section (format v3). Spans
+/// point straight into the mapping (the residue-start table into the
+/// Store); valid for the Store's lifetime.
 class KmerIndexView {
  public:
   [[nodiscard]] std::size_t k() const noexcept { return k_; }
   [[nodiscard]] std::uint64_t bucket_count() const noexcept { return offsets_.size() - 1; }
   [[nodiscard]] std::uint64_t postings_count() const noexcept { return postings_.size(); }
-  [[nodiscard]] std::span<const KmerPosting> postings() const noexcept { return postings_; }
+  /// Section bytes: header, offsets and postings (format.hpp kmer_index_bytes).
+  [[nodiscard]] std::uint64_t bytes() const noexcept {
+    return kmer_index_bytes(bucket_count(), postings_count());
+  }
 
-  /// Postings of dense-coded k-mer `bucket`, sorted by (record, pos).
-  /// Offsets are clamped to the postings array, so even an index whose
-  /// arrays were corrupted after open (verify_payload would catch it)
-  /// cannot produce an out-of-bounds span.
-  [[nodiscard]] std::span<const KmerPosting> postings_for(std::uint64_t bucket) const noexcept {
+  /// Postings of dense-coded k-mer `bucket`: global residue positions,
+  /// ascending (so ascending by (record, pos) once located). Offsets are
+  /// clamped to the postings array, so even an index whose arrays were
+  /// corrupted after open (verify_payload would catch it) cannot produce
+  /// an out-of-bounds span.
+  [[nodiscard]] std::span<const std::uint32_t> postings_for(std::uint64_t bucket) const noexcept {
     if (bucket >= bucket_count()) return {};
     const std::uint64_t hi = std::min<std::uint64_t>(offsets_[bucket + 1], postings_.size());
     const std::uint64_t lo = std::min<std::uint64_t>(offsets_[bucket], hi);
     return postings_.subspan(lo, hi - lo);
+  }
+
+  /// Decodes a posting into (record, pos) through the residue-start table.
+  /// @throws StoreError when the posting lies at or beyond the store's
+  /// last residue (a corrupt index).
+  [[nodiscard]] KmerPosting locate(std::uint32_t posting) const {
+    if (starts_.empty() || posting >= starts_.back()) throw_past_end(posting);
+    // Branch-free search for the last record starting at or before the
+    // posting (an empty record shares its successor's start and loses to
+    // it): a data-dependent branch here mispredicts about every other step.
+    const std::uint32_t* first = starts_.data();
+    for (std::size_t n = starts_.size(); n > 1;) {
+      const std::size_t half = n / 2;
+      first = first[half] <= posting ? first + half : first;
+      n -= half;
+    }
+    return {static_cast<std::uint32_t>(first - starts_.data()), posting - *first};
   }
 
   /// Fraction of buckets with at least one posting — the `swdb info`
@@ -55,9 +77,12 @@ class KmerIndexView {
 
  private:
   friend class Store;
+  [[noreturn]] void throw_past_end(std::uint32_t posting) const;
+
   std::size_t k_ = 0;
-  std::span<const std::uint64_t> offsets_;  // bucket_count + 1
-  std::span<const KmerPosting> postings_;
+  std::span<const std::uint32_t> offsets_;  // bucket_count + 1
+  std::span<const std::uint32_t> postings_;
+  std::span<const std::uint32_t> starts_;   // record_count + 1 residue starts
 };
 
 /// Byte extent of one record's encoded payload within the payload
@@ -109,14 +134,17 @@ class Store {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
   /// Content-addressed generation stamp: fnv1a chained over the header's
-  /// payload_hash then header_hash. Any rebuild that changes the store's
-  /// content (records, encoding, index section, format version) changes
-  /// it, while byte-identical rebuilds keep it — exactly the invalidation
-  /// granularity result caches want: results from equal generations are
-  /// interchangeable, results across generations never are.
+  /// payload_hash then header_hash, then the index header's header_hash
+  /// (which carries index_hash) when there is an index. Any rebuild that
+  /// changes the store's content (records, encoding, index section, format
+  /// version) changes it, while byte-identical rebuilds keep it — exactly
+  /// the invalidation granularity result caches want: results from equal
+  /// generations are interchangeable, results across generations never are.
   [[nodiscard]] std::uint64_t generation() const noexcept {
     std::uint64_t g = fnv1a(&header_.payload_hash, sizeof header_.payload_hash);
-    return fnv1a(&header_.header_hash, sizeof header_.header_hash, g);
+    g = fnv1a(&header_.header_hash, sizeof header_.header_hash, g);
+    if (!has_kmer_index()) return g;
+    return fnv1a(&index_header_.header_hash, sizeof index_header_.header_hash, g);
   }
 
   /// Length (residues) of record `r`. @throws std::out_of_range.
@@ -141,7 +169,7 @@ class Store {
   /// The length-descending dispatch permutation (see format.hpp).
   [[nodiscard]] std::span<const std::uint32_t> schedule_order() const noexcept { return order_; }
 
-  /// Whether this store carries the format-v2 k-mer index section.
+  /// Whether this store carries the format-v3 k-mer index section.
   [[nodiscard]] bool has_kmer_index() const noexcept { return kindex_.k_ != 0; }
 
   /// The k-mer index view. @throws StoreError on a pre-index (v1) file,
@@ -195,12 +223,13 @@ class Store {
   /// mincore accounting of the payload section (see PayloadResidency).
   [[nodiscard]] PayloadResidency payload_residency() const noexcept;
 
-  /// Re-hashes everything after the header and compares against the
-  /// header's payload_hash — the full-integrity check tier-1 tests and
+  /// Re-hashes everything after the header against the header's
+  /// payload_hash and, in an indexed store, the index body against the
+  /// index header's index_hash — the full-integrity check tier-1 tests and
   /// operators run; scans skip it. Advises MADV_SEQUENTIAL for its one
   /// front-to-back pass. With a non-null `metrics` registry, records
   /// db.verifies / db.bytes_verified and a db.verify_us histogram.
-  /// @throws StoreError on mismatch.
+  /// @throws StoreError on mismatch, naming the section.
   void verify_payload(obs::Registry* metrics = nullptr) const;
 
  private:
@@ -223,6 +252,8 @@ class Store {
   const char* names_ = nullptr;
   const std::uint8_t* payload_ = nullptr;
   KmerIndexView kindex_;                 ///< k_ == 0 when absent (v1 file)
+  KmerIndexHeader index_header_{};       ///< valid when kindex_ is present
+  std::vector<std::uint32_t> starts_;    ///< residue starts (indexed stores)
 };
 
 /// Length-distribution and lane-batching summary of a store's dispatch

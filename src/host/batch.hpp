@@ -56,7 +56,7 @@ enum class FilterMode {
   Exact,   ///< score every record (the default; the only accelerator mode)
   Seeded,  ///< k-mer seed + ungapped prescreen funnel (host/prefilter.hpp),
            ///< exact SIMD rescore of survivors; needs a store built with
-           ///< the format-v2 k-mer index section
+           ///< the format-v3 k-mer index section
 };
 
 /// Scan configuration.

@@ -79,8 +79,9 @@ std::vector<std::uint32_t> filter_candidates(const db::Store& store, const seq::
       code = code * base + q[p];
       if (p + 1 < k) continue;
       const std::size_t qpos = p + 1 - k;
-      for (const db::KmerPosting& post : idx.postings_for(code)) {
+      for (const std::uint32_t posting : idx.postings_for(code)) {
         ++st.postings;
+        const db::KmerPosting post = idx.locate(posting);
         if (!in_domain(post.record)) continue;
         diags.push_back(CandidateDiag{
             post.record, static_cast<std::int64_t>(post.pos) - static_cast<std::int64_t>(qpos)});

@@ -3,7 +3,7 @@
 // The two-stage candidate funnel behind `scan --filter seeded`:
 //
 //   stage 1 (seeds):     walk the query's k-mers through the store's
-//                        format-v2 index (db/format.hpp) — records sharing
+//                        format-v3 index (db/format.hpp) — records sharing
 //                        no k-mer with the query are dropped without ever
 //                        touching their residues;
 //   stage 2 (prescreen): for every distinct (record, diagonal) a seed
@@ -62,7 +62,8 @@ struct FilterStats {
 /// listed record ids — the scan service's chunk path) and returns the
 /// surviving record ids, ascending and unique. `stats` (optional)
 /// receives the funnel accounting.
-/// @throws db::StoreError when the store has no k-mer index section.
+/// @throws db::StoreError when the store has no k-mer index section, or
+/// when a posting it walks lies past the last residue (a corrupt index).
 std::vector<std::uint32_t> filter_candidates(const db::Store& store, const seq::Sequence& query,
                                              const align::Scoring& sc, const FilterOptions& fo,
                                              std::span<const std::uint32_t> subset = {},

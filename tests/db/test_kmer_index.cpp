@@ -1,10 +1,13 @@
-// The format-v2 k-mer index section: build-time construction, mmap view
+// The format-v3 k-mer index section: build-time construction, mmap view
 // round-trip, v1 compatibility (old files open and scan; seeded lookups
-// fail with an actionable error), and corruption rejection.
+// fail with an actionable error), v2 refusal, and corruption rejection.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,6 +35,15 @@ std::vector<seq::Sequence> indexable_records() {
   return recs;
 }
 
+std::string message_of(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const db::StoreError& e) {
+    return e.what();
+  }
+  return "(no StoreError)";
+}
+
 void flip_byte(const std::string& path, std::uint64_t offset) {
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
   ASSERT_TRUE(f) << path;
@@ -57,6 +69,8 @@ TEST(KmerIndexSection, BuildAppendsVerifiedSection) {
   EXPECT_EQ(idx.k(), st.seed_k);
   EXPECT_EQ(idx.bucket_count(), st.index_buckets);
   EXPECT_EQ(idx.postings_count(), st.index_postings);
+  EXPECT_EQ(idx.bytes(), st.index_bytes);
+  EXPECT_EQ(std::filesystem::file_size(path), st.file_bytes);
   EXPECT_GT(idx.load_factor(), 0.0);
   EXPECT_LE(idx.load_factor(), 1.0);
   EXPECT_NO_THROW(store.verify_payload());  // payload hash covers the index
@@ -82,7 +96,8 @@ TEST(KmerIndexSection, PostingsEnumerateEveryKmerOccurrence) {
       std::uint64_t code = 0;
       for (std::size_t t = 0; t < k; ++t) code = code * base + codes[p + t];
       const auto bucket = idx.postings_for(code);
-      const bool found = std::any_of(bucket.begin(), bucket.end(), [&](const db::KmerPosting& e) {
+      const bool found = std::any_of(bucket.begin(), bucket.end(), [&](std::uint32_t g) {
+        const db::KmerPosting e = idx.locate(g);
         return e.record == r && e.pos == p;
       });
       EXPECT_TRUE(found) << "record " << r << " pos " << p;
@@ -93,10 +108,12 @@ TEST(KmerIndexSection, PostingsEnumerateEveryKmerOccurrence) {
   // Postings within every bucket ascend by (record, pos) — the layout the
   // prefilter's sequential merge depends on.
   for (std::uint64_t b = 0; b < idx.bucket_count(); ++b) {
-    const auto span = idx.postings_for(b);
-    for (std::size_t i = 1; i < span.size(); ++i) {
-      EXPECT_TRUE(span[i - 1].record < span[i].record ||
-                  (span[i - 1].record == span[i].record && span[i - 1].pos < span[i].pos))
+    const auto bucket = idx.postings_for(b);
+    for (std::size_t i = 1; i < bucket.size(); ++i) {
+      const db::KmerPosting prev = idx.locate(bucket[i - 1]);
+      const db::KmerPosting next = idx.locate(bucket[i]);
+      EXPECT_TRUE(prev.record < next.record ||
+                  (prev.record == next.record && prev.pos < next.pos))
           << "bucket " << b;
     }
   }
@@ -184,6 +201,108 @@ TEST(KmerIndexSection, CorruptPostingsFailVerify) {
   flip_byte(path, st.file_bytes - 1);
   const db::Store store = db::Store::open(path);  // open stays O(1), no hash
   EXPECT_THROW(store.verify_payload(), db::StoreError);
+  const std::string what = message_of([&] { store.verify_payload(); });
+  EXPECT_NE(what.find("k-mer index checksum mismatch"), std::string::npos) << what;
+}
+
+TEST(KmerIndexSection, CorruptPayloadFailsVerifyNamingThePayload) {
+  const auto recs = indexable_records();
+  const std::string path = temp_path("kidx_corrupt_payload.swdb");
+  const db::BuildStats st = db::build_store(recs, path);
+  // The byte just before the index header is payload (or its padding).
+  flip_byte(path, st.file_bytes - st.index_bytes - 1);
+  const db::Store store = db::Store::open(path);
+  const std::string what = message_of([&] { store.verify_payload(); });
+  EXPECT_NE(what.find("payload checksum mismatch"), std::string::npos) << what;
+}
+
+// A posting past the last residue would decode to no record: the seeded
+// scan that walks it fails with a StoreError naming the index, not
+// std::out_of_range or a read past a record.
+TEST(KmerIndexSection, PostingPastLastResidueIsATypedError) {
+  const auto recs = indexable_records();
+  const std::string path = temp_path("kidx_bad_posting.swdb");
+  const db::BuildStats st = db::build_store(recs, path);
+
+  // The file's last posting belongs to the highest non-empty bucket; a
+  // query spelling that k-mer walks it.
+  std::vector<seq::Code> kmer;
+  {
+    const db::Store store = db::Store::open(path);
+    const db::KmerIndexView& idx = store.kmer_index();
+    std::uint64_t b = idx.bucket_count() - 1;
+    while (idx.postings_for(b).empty()) --b;
+    kmer.resize(idx.k());
+    for (std::size_t t = kmer.size(); t-- > 0; b /= 4) kmer[t] = static_cast<seq::Code>(b % 4);
+  }
+  std::vector<char> bytes = test::slurp(path);
+  std::memset(bytes.data() + st.file_bytes - 4, 0xFF, 4);
+  test::spit(path, bytes);
+
+  const db::Store store = db::Store::open(path);
+  const seq::Sequence query(seq::dna(), kmer, "kmer");
+  host::ScanOptions so;
+  so.filter = host::FilterMode::Seeded;
+  so.min_score = 2;
+  const std::string what = message_of(
+      [&] { (void)host::scan_database_cpu(query, store, align::Scoring{}, so); });
+  EXPECT_NE(what.find("k-mer index"), std::string::npos) << what;
+  EXPECT_NE(what.find("4294967295"), std::string::npos) << what;
+}
+
+// The v2 index layout (u64 offsets, (record, pos) postings) is refused at
+// open with the rebuild command, whatever follows the header.
+TEST(KmerIndexSection, VersionTwoFileAsksForRebuild) {
+  const auto recs = indexable_records();
+  const std::string path = temp_path("kidx_v2.swdb");
+  db::build_store(recs, path);
+  std::vector<char> bytes = test::slurp(path);
+  db::FileHeader h;
+  std::memcpy(&h, bytes.data(), sizeof h);
+  h.version = db::kFormatVersionIndexedV2;
+  h.header_hash = h.compute_header_hash();
+  std::memcpy(bytes.data(), &h, sizeof h);
+  test::spit(path, bytes);
+
+  const std::string what = message_of([&] { (void)db::Store::open(path); });
+  EXPECT_NE(what.find("format v2"), std::string::npos) << what;
+  EXPECT_NE(what.find("swr swdb build"), std::string::npos) << what;
+}
+
+// The index body is not under payload_hash, so the generation folds in the
+// index header: a rebuild that changes only the seed length is a new
+// generation (its seeded scans may admit other records).
+TEST(KmerIndexSection, SeedLengthChangesTheGeneration) {
+  const auto recs = indexable_records();
+  db::BuildOptions k5, k6;
+  k5.seed_k = 5;
+  k6.seed_k = 6;
+  db::build_store(recs, temp_path("kidx_gen5.swdb"), k5);
+  db::build_store(recs, temp_path("kidx_gen6.swdb"), k6);
+  db::build_store(recs, temp_path("kidx_gen5b.swdb"), k5);
+  const std::uint64_t g5 = db::Store::open(temp_path("kidx_gen5.swdb")).generation();
+  EXPECT_NE(g5, db::Store::open(temp_path("kidx_gen6.swdb")).generation());
+  EXPECT_EQ(g5, db::Store::open(temp_path("kidx_gen5b.swdb")).generation());
+}
+
+// --no-index keeps writing the v1 layout byte for byte: the hash pins
+// this fixed store's file as every v1 builder has written it.
+TEST(KmerIndexSection, NoIndexFileBytesUnchanged) {
+  std::vector<seq::Sequence> recs;
+  for (std::size_t r = 0; r < 6; ++r) {
+    std::vector<seq::Code> codes(r == 2 ? 0 : 5 + 13 * r);
+    for (std::size_t i = 0; i < codes.size(); ++i) {
+      codes[i] = static_cast<seq::Code>((i * 7 + r * 3 + i / 5) % 4);
+    }
+    recs.emplace_back(seq::dna(), std::move(codes), "r" + std::to_string(r));
+  }
+  db::BuildOptions opt;
+  opt.kmer_index = false;
+  const std::string path = temp_path("kidx_v1_bytes.swdb");
+  db::build_store(recs, path, opt);
+  const std::vector<char> bytes = test::slurp(path);
+  EXPECT_EQ(bytes.size(), 299u);
+  EXPECT_EQ(db::fnv1a(bytes.data(), bytes.size()), 241700612196080910ull);
 }
 
 TEST(KmerIndexSection, CorruptIndexHeaderFailsOpen) {

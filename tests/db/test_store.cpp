@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -200,24 +200,49 @@ TEST(SwdbStore, ScanParityEveryEngine) {
                    host::scan_database_fleet(fleet, query, store, opt));
 }
 
+// ---- replacing a store ----------------------------------------------------
+
+// A rebuild renames a new file over the path, so a Store still mapping the
+// old one keeps reading and verifying its records (a rebuild that
+// truncated in place rewrote the pages under such a reader), while a
+// fresh open sees the new content. No temp file is left beside the store.
+TEST(SwdbStore, RebuildLeavesOpenStoreReadingTheOldFile) {
+  const std::string path = temp_path("replace.swdb");
+  const std::vector<seq::Sequence> old_recs = mixed_dna_records();
+  db::build_store(old_recs, path);
+  const db::Store old_store = db::Store::open(path);
+
+  std::vector<seq::Sequence> new_recs;
+  for (int k = 0; k < 3; ++k) new_recs.push_back(test::random_dna(3000, 77 + k));
+  db::build_store(new_recs, path);
+
+  expect_round_trip(old_recs, old_store);
+  const db::Store new_store = db::Store::open(path);
+  expect_round_trip(new_recs, new_store);
+  EXPECT_NE(new_store.generation(), old_store.generation());
+
+  const std::filesystem::path file(path);
+  for (const auto& entry : std::filesystem::directory_iterator(file.parent_path())) {
+    const std::string leaf = entry.path().filename().string();
+    EXPECT_FALSE(leaf != file.filename().string() && leaf.rfind(file.filename().string(), 0) == 0)
+        << "left behind: " << leaf;
+  }
+}
+
+// A build that cannot create its file fails typed.
+TEST(SwdbStore, BuildIntoMissingDirectoryFails) {
+  EXPECT_THROW(db::build_store(mixed_dna_records(), temp_path("no_such_dir") + "/db.swdb"),
+               db::StoreError);
+}
+
 // ---- corruption rejection ------------------------------------------------
-
-std::vector<char> slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-void spit(const std::string& path, const std::vector<char>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
 
 class SwdbCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = temp_path("corrupt.swdb");
     db::build_store(mixed_dna_records(), path_);
-    bytes_ = slurp(path_);
+    bytes_ = test::slurp(path_);
     ASSERT_GT(bytes_.size(), 64u);
   }
   std::string path_;
@@ -226,31 +251,31 @@ class SwdbCorruption : public ::testing::Test {
 
 TEST_F(SwdbCorruption, BadMagicRejected) {
   bytes_[0] ^= 0x40;
-  spit(path_, bytes_);
+  test::spit(path_, bytes_);
   EXPECT_THROW((void)db::Store::open(path_), db::StoreError);
 }
 
 TEST_F(SwdbCorruption, HeaderFlipRejected) {
   bytes_[12] ^= 0x01;  // inside the hashed 56 bytes
-  spit(path_, bytes_);
+  test::spit(path_, bytes_);
   EXPECT_THROW((void)db::Store::open(path_), db::StoreError);
 }
 
 TEST_F(SwdbCorruption, TruncatedHeaderRejected) {
   bytes_.resize(32);
-  spit(path_, bytes_);
+  test::spit(path_, bytes_);
   EXPECT_THROW((void)db::Store::open(path_), db::StoreError);
 }
 
 TEST_F(SwdbCorruption, TruncatedPayloadRejected) {
   bytes_.resize(bytes_.size() - 8);
-  spit(path_, bytes_);
+  test::spit(path_, bytes_);
   EXPECT_THROW((void)db::Store::open(path_), db::StoreError);
 }
 
 TEST_F(SwdbCorruption, PayloadFlipCaughtByVerify) {
   bytes_.back() = static_cast<char>(bytes_.back() ^ 0x01);
-  spit(path_, bytes_);
+  test::spit(path_, bytes_);
   const db::Store store = db::Store::open(path_);  // open stays O(1): no payload hash
   EXPECT_THROW(store.verify_payload(), db::StoreError);
 }

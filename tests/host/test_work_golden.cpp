@@ -62,6 +62,7 @@ const std::map<std::string, Counts> kGolden = {
          {"dna/interseq scan.simd.records.striped8", 0},
          {"dna/interseq scan.striped.rescan_rows", 0},
          {"dna/seeded diagonals", 260},
+         {"dna/seeded postings", 827},
          {"dna/seeded scan.cells", 1305600},
          {"dna/seeded scan.filter.candidates", 58},
          {"dna/seeded scan.filter.recall_guard", 1},
@@ -104,6 +105,7 @@ const std::map<std::string, Counts> kGolden = {
          {"dna/interseq scan.simd.records.striped8", 0},
          {"dna/interseq scan.striped.rescan_rows", 305},
          {"dna/seeded diagonals", 260},
+         {"dna/seeded postings", 827},
          {"dna/seeded scan.cells", 1305600},
          {"dna/seeded scan.filter.candidates", 58},
          {"dna/seeded scan.filter.recall_guard", 1},
@@ -146,6 +148,7 @@ const std::map<std::string, Counts> kGolden = {
          {"dna/interseq scan.simd.records.striped8", 0},
          {"dna/interseq scan.striped.rescan_rows", 305},
          {"dna/seeded diagonals", 260},
+         {"dna/seeded postings", 827},
          {"dna/seeded scan.cells", 1305600},
          {"dna/seeded scan.filter.candidates", 58},
          {"dna/seeded scan.filter.recall_guard", 1},
@@ -327,6 +330,7 @@ Counts measure(const Inputs& in, core::SimdIsa isa) {
     host::FilterStats fst;
     host::filter_candidates(in.dna, in.dna_query, in.dna_sc, fo, {}, &fst);
     out["dna/seeded diagonals"] = fst.diagonals;
+    out["dna/seeded postings"] = fst.postings;
   }
   {
     obs::Registry reg;

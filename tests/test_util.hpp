@@ -2,9 +2,12 @@
 #pragma once
 
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <random>
 #include <string>
+#include <vector>
 
 #if defined(__linux__)
 #include <unistd.h>
@@ -58,6 +61,17 @@ inline seq::Sequence random_dna(std::size_t n, std::uint64_t seed) {
 inline seq::Sequence random_protein(std::size_t n, std::uint64_t seed) {
   seq::RandomSequenceGenerator gen(seed);
   return gen.uniform(seq::protein(), n);
+}
+
+/// Whole-file read and overwrite, for tests that corrupt a file's bytes.
+inline std::vector<char> slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+inline void spit(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 }  // namespace swr::test
