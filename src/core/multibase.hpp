@@ -24,9 +24,8 @@
 #include "core/pe.hpp"
 #include "core/controller.hpp"
 #include "core/performance_model.hpp"
-#include "hw/module.hpp"
+#include "hw/reg.hpp"
 #include "hw/satarith.hpp"
-#include "hw/simulator.hpp"
 #include "hw/sram.hpp"
 #include "seq/sequence.hpp"
 

@@ -32,8 +32,9 @@ struct MultiBoardResult {
   std::uint64_t total_cycles = 0;    ///< sum over boards (energy-style metric)
 };
 
-/// A set of boards. Accelerators are not movable (the internal simulator
-/// holds a pointer to the array module), hence the unique_ptr fleet.
+/// A set of boards. Accelerators are neither copyable nor movable (an
+/// array is one physical chain, and a tracer binds to it by address),
+/// hence the unique_ptr fleet.
 using BoardFleet = std::vector<std::unique_ptr<SmithWatermanAccelerator>>;
 
 /// Runs `query` against `db` split across `boards` identical accelerators.

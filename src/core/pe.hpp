@@ -21,7 +21,7 @@
 
 #include "align/result.hpp"
 #include "align/scoring.hpp"
-#include "hw/module.hpp"
+#include "hw/reg.hpp"
 #include "hw/satarith.hpp"
 #include "seq/alphabet.hpp"
 

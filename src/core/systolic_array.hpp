@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "core/pe.hpp"
-#include "hw/module.hpp"
 #include "hw/satarith.hpp"
 #include "hw/sched.hpp"
 
@@ -74,14 +73,14 @@ struct PeTraits<AffinePe> {
 /// array-wide mode. Every PE reads only pre-edge neighbour state, so the
 /// chain behaves as if all PEs were clocked at once.
 template <typename Pe>
-class SystolicArray final : public hw::Module {
+class SystolicArray final {
  public:
   using Scoring = typename detail::PeTraits<Pe>::Scoring;
   using Context = typename detail::PeTraits<Pe>::Context;
 
   SystolicArray(std::size_t n, unsigned score_bits, Scoring scoring,
                 hw::SchedMode sched = hw::default_sched_mode())
-      : hw::Module("systolic_array"), n_(n), sat_(score_bits), scoring_(scoring), sched_(sched) {
+      : n_(n), sat_(score_bits), scoring_(scoring), sched_(sched) {
     if (n == 0) throw std::invalid_argument("SystolicArray: zero PEs");
     scoring_.validate();
     if (sched_ == hw::SchedMode::Dense) {
@@ -90,6 +89,10 @@ class SystolicArray final : public hw::Module {
       regs_.resize(n);
     }
   }
+
+  // One physical chain: the tracer's probes bind to it by address.
+  SystolicArray(const SystolicArray&) = delete;
+  SystolicArray& operator=(const SystolicArray&) = delete;
 
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
   [[nodiscard]] hw::SchedMode sched_mode() const noexcept { return sched_; }
@@ -134,14 +137,18 @@ class SystolicArray final : public hw::Module {
   }
 
   /// Drives the input wires for the current cycle (testbench style: set
-  /// before the clock edge, latched by PE 0 at commit).
+  /// before the clock edge, latched by PE 0 at clock()).
   void drive_input(const PeLink& link) noexcept { in_ = link; }
 
   /// Drives the array mode wires for the current cycle (controller FSM
   /// output, combinationally visible to all PEs).
   void set_mode(ArrayMode mode) noexcept { mode_ = mode; }
 
-  void evaluate() override {
+  /// One clock edge with the input and mode wires as driven. Dense
+  /// evaluates every reference PE against pre-edge state, then commits
+  /// them all; event picks the span that can change (see the file comment)
+  /// and clocks it in place, right to left.
+  void clock() {
     if (sched_ == hw::SchedMode::Dense) {
       // PE 0 reads the input wires; PE j>0 reads PE j-1's registered
       // output. All register reads are pre-edge values.
@@ -154,13 +161,14 @@ class SystolicArray final : public hw::Module {
       for (std::size_t j = 1; j < n_; ++j) {
         pes_[j].evaluate(mode_, pes_[j - 1].out(), pes_[j - 1].drain_slot(), ctx);
       }
+      for (Pe& pe : pes_) pe.commit();
       return;
     }
 
-    // Event: pick the span to clock at this edge. act_[lo,hi) is the
-    // maintained invariant "every PE outside this span has out().valid ==
-    // false" — at the edge those PEs keep every register, so skipping them
-    // is exact.
+    // Event. act_[lo,hi) is the maintained invariant "every PE outside
+    // this span has out().valid == false" — at the edge those PEs keep
+    // every register, so skipping them is exact.
+    Registers& r = regs_;
     eval_lo_ = eval_hi_ = 0;
     eval_head_ = false;
     switch (mode_) {
@@ -168,8 +176,10 @@ class SystolicArray final : public hw::Module {
         // Only valid strobes need clearing; everything else holds.
         eval_lo_ = act_lo_;
         eval_hi_ = act_hi_;
+        for (std::size_t j = eval_lo_; j < eval_hi_; ++j) r.valid[j + 1] = 0;
+        act_lo_ = act_hi_ = 0;
         break;
-      case ArrayMode::Compute:
+      case ArrayMode::Compute: {
         if (act_lo_ < act_hi_) {
           // The span itself plus the PE the leading edge advances into.
           eval_lo_ = act_lo_;
@@ -177,33 +187,6 @@ class SystolicArray final : public hw::Module {
         }
         // PE 0 consumes the input wires; cover it when the span does not.
         eval_head_ = in_.valid && (eval_lo_ > 0 || eval_lo_ >= eval_hi_);
-        break;
-      case ArrayMode::DrainLoad:
-        // Every column latches (Bs, Bc) — inherently O(N), once per pass.
-        eval_lo_ = 0;
-        eval_hi_ = n_;
-        break;
-      case ArrayMode::DrainShift:
-        // Virtual shift: only the rightmost PE is clocked.
-        eval_lo_ = n_ - 1;
-        eval_hi_ = n_;
-        break;
-    }
-    evaluations_ += eval_hi_ - eval_lo_ + (eval_head_ ? 1 : 0);
-  }
-
-  void commit() override {
-    if (sched_ == hw::SchedMode::Dense) {
-      for (Pe& pe : pes_) pe.commit();
-      return;
-    }
-    Registers& r = regs_;
-    switch (mode_) {
-      case ArrayMode::Idle:
-        for (std::size_t j = eval_lo_; j < eval_hi_; ++j) r.valid[j + 1] = 0;
-        act_lo_ = act_hi_ = 0;  // every clocked PE cleared its strobe
-        break;
-      case ArrayMode::Compute: {
         r.base[0] = in_.base;
         r.score[0] = in_.score;
         if constexpr (kAffine) r.escore[0] = in_.escore;
@@ -224,6 +207,9 @@ class SystolicArray final : public hw::Module {
         break;
       }
       case ArrayMode::DrainLoad:
+        // Every column latches (Bs, Bc) — inherently O(N), once per pass.
+        eval_lo_ = 0;
+        eval_hi_ = n_;
         for (std::size_t j = 0; j < n_; ++j) {
           r.drain[j] = DrainSlot{r.bs[j], r.bc[j]};
           r.valid[j + 1] = 0;
@@ -232,18 +218,24 @@ class SystolicArray final : public hw::Module {
         drain_shifts_ = 0;
         break;
       case ArrayMode::DrainShift: {
-        // The rightmost PE takes the slot the real chain would deliver:
-        // column N-1-k's (Bs, Bc) after k shifts, empty once the chain has
-        // fully run out (PE 0 shifts empties in).
+        // Virtual shift: only the rightmost PE is clocked. It takes the
+        // slot the real chain would deliver: column N-1-k's (Bs, Bc) after
+        // k shifts, empty once the chain has fully run out (PE 0 shifts
+        // empties in).
+        eval_lo_ = n_ - 1;
+        eval_hi_ = n_;
         const std::size_t k = ++drain_shifts_;
         r.drain[n_ - 1] = k < n_ ? DrainSlot{r.bs[n_ - 1 - k], r.bc[n_ - 1 - k]} : kEmptySlot;
         r.valid[n_] = 0;
         break;
       }
     }
+    evaluations_ += eval_hi_ - eval_lo_ + (eval_head_ ? 1 : 0);
   }
 
-  void reset() override {
+  /// Per-pass reset of PE state without losing the loaded query: the wires
+  /// and every register but SP, active and barrier.
+  void reset() noexcept {
     in_ = PeLink{};
     mode_ = ArrayMode::Idle;
     if (sched_ == hw::SchedMode::Dense) {
@@ -256,9 +248,6 @@ class SystolicArray final : public hw::Module {
     eval_head_ = false;
     drain_shifts_ = 0;
   }
-
-  /// Per-pass reset of PE state without losing the loaded query.
-  void reset_pass() noexcept { reset(); }
 
   /// Output of the last PE: the boundary-column stream (figure 7).
   [[nodiscard]] PeLink boundary_out() const noexcept {
@@ -303,7 +292,7 @@ class SystolicArray final : public hw::Module {
   /// the activity tests read this.
   [[nodiscard]] std::uint64_t evaluations() const noexcept { return evaluations_; }
 
-  /// Whether PE `j` was clocked by the most recent evaluate() — the
+  /// Whether PE `j` was clocked by the most recent clock() — the
   /// active-set membership probe for the schedule tests.
   [[nodiscard]] bool evaluated_last_cycle(std::size_t j) const noexcept {
     return (eval_head_ && j == 0) || (j >= eval_lo_ && j < eval_hi_);

@@ -48,10 +48,10 @@ class ArrayTracer {
       vcd_.add_signal(base + "_Cl", 32,
                       [arr, j] { return arr->pe(j).reg_cl() & 0xFFFFFFFFu; });
     }
-    // The controller resets its simulator between jobs, so cycle numbers
-    // restart; the VCD time base is this tracer's own monotonic counter,
-    // letting one waveform span several runs (e.g. the pipeline's forward
-    // and reverse passes back to back).
+    // The controller restarts its cycle count with every job; the VCD
+    // time base is this tracer's own monotonic counter, letting one
+    // waveform span several runs (e.g. the pipeline's forward and reverse
+    // passes back to back).
     ctl.set_observer([this](const SystolicArray<ScorePe>&, std::uint64_t) {
       vcd_.sample(++samples_);
     });

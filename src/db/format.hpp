@@ -92,8 +92,9 @@ inline std::uint64_t fnv1a(const void* data, std::size_t bytes,
 /// header up to the k-mer index header (meta + order + names + payload and
 /// their padding; in a v1 file, everything after the header); the index
 /// body carries its own `index_hash`. Store::open does NOT verify either
-/// (open stays O(1) — that is the point of mmap), Store::verify_payload
-/// does.
+/// (it walks the record table and schedule order, O(records), but never
+/// the payload or the index — that is the point of mmap);
+/// Store::verify_payload does.
 struct FileHeader {
   std::array<char, 8> magic = kMagic;
   std::uint32_t version = kFormatVersion;

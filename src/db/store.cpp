@@ -133,6 +133,9 @@ Store Store::open(const std::string& path, obs::Registry* metrics, bool populate
     }
     s.starts_.resize(n + 1);
   }
+  // schedule_order must be a permutation: a repeated entry would scan one
+  // record twice and skip another.
+  std::vector<bool> scheduled(n);
   std::uint64_t residues = 0;
   for (std::size_t r = 0; r < n; ++r) {
     const RecordMeta& m = s.meta_[r];
@@ -143,7 +146,12 @@ Store Store::open(const std::string& path, obs::Registry* metrics, bool populate
     if (m.name_offset > h.names_bytes || m.name_length > h.names_bytes - m.name_offset) {
       fail(path, "record " + std::to_string(r) + " name range out of bounds");
     }
-    if (s.order_[r] >= n) fail(path, "schedule order entry out of range");
+    const std::uint32_t next = s.order_[r];
+    if (next >= n) fail(path, "schedule order entry out of range");
+    if (scheduled[next]) {
+      fail(path, "schedule order lists record " + std::to_string(next) + " twice");
+    }
+    scheduled[next] = true;
     if (indexed) s.starts_[r] = static_cast<std::uint32_t>(residues);
     residues += m.length;
   }
@@ -151,9 +159,9 @@ Store Store::open(const std::string& path, obs::Registry* metrics, bool populate
 
   // Format v3: the k-mer index section trails the payload. Same contract
   // as the other sections — structural bounds are validated before any
-  // pointer is formed (open stays O(1)); the array *contents* are covered
-  // by index_hash + verify_payload, postings_for clamps defensively and
-  // locate rejects a posting past the last residue.
+  // pointer is formed (open never reads the index body); the array
+  // *contents* are covered by index_hash + verify_payload, postings_for
+  // clamps defensively and locate rejects a posting past the last residue.
   if (indexed) {
     s.starts_[n] = static_cast<std::uint32_t>(residues);
     const std::size_t index_off = align8(payload_off + h.payload_bytes);

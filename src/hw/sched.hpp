@@ -1,6 +1,6 @@
 // Simulation scheduling policy for the two-phase clocked model.
 //
-// Dense is the textbook stepper: every module element is evaluated and
+// Dense is the textbook stepper: every PE of the array is evaluated and
 // committed every clock. Event is the activity-driven scheduler (kpu-sim
 // style): only elements whose registered state can change this cycle are
 // touched. The two are bit-identical — an element left out holds an

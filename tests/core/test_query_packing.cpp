@@ -57,6 +57,41 @@ TEST(QueryPacking, OnePassForTheWholeBatch) {
   EXPECT_LT(ctl.run_stats().total_cycles, solo_cycles / 3);
 }
 
+// run() and run_batch() share one pass, so a one-query batch is a run:
+// the same result, every RunStats field and the same PE evaluations, under
+// both schedulers — a full-width load (|query| = N) and a 6-bit datapath
+// that saturates included.
+TEST(QueryPacking, SingleQueryBatchIsARun) {
+  struct Shape {
+    std::size_t m, n, npes;
+    unsigned bits;
+  };
+  for (const hw::SchedMode sched : {hw::SchedMode::Dense, hw::SchedMode::Event}) {
+    for (const Shape s : {Shape{1, 1, 4, 16}, Shape{7, 60, 16, 16}, Shape{16, 200, 16, 16},
+                          Shape{30, 9, 64, 16}, Shape{40, 150, 50, 6}}) {
+      const seq::Sequence db = swr::test::random_dna(s.n, 60 + s.n);
+      // Long queries copy part of the record, so the 6-bit shape saturates.
+      const seq::Sequence query = s.m <= s.n ? db.subsequence(s.n - s.m, s.m)
+                                             : swr::test::random_dna(s.m, 40 + s.m);
+      ArrayController<ScorePe> ctl(s.npes, s.bits, kSc, 1 << 20, true, sched);
+      const std::uint64_t before = ctl.array().evaluations();
+      const align::LocalScoreResult solo = ctl.run(query, db);
+      const RunStats solo_stats = ctl.run_stats();
+      const std::uint64_t solo_evals = ctl.array().evaluations() - before;
+      const auto batch = ctl.run_batch({query}, db);
+      const std::string shape = std::string(hw::sched_mode_name(sched)) + " m=" +
+                                std::to_string(s.m) + " n=" + std::to_string(s.n);
+      ASSERT_EQ(batch.size(), 1u) << shape;
+      EXPECT_EQ(batch[0], solo) << shape;
+      EXPECT_TRUE(ctl.run_stats() == solo_stats) << shape;
+      EXPECT_EQ(ctl.array().evaluations() - before - solo_evals, solo_evals) << shape;
+      if (s.bits == 6) {
+        EXPECT_GT(solo_stats.saturations, 0u) << shape;
+      }
+    }
+  }
+}
+
 TEST(QueryPacking, OverflowAndEmptyHandling) {
   ArrayController<ScorePe> ctl(10, 16, kSc, 1 << 20, true);
   const seq::Sequence db = swr::test::random_dna(50, 4);

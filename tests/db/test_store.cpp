@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -276,8 +277,26 @@ TEST_F(SwdbCorruption, TruncatedPayloadRejected) {
 TEST_F(SwdbCorruption, PayloadFlipCaughtByVerify) {
   bytes_.back() = static_cast<char>(bytes_.back() ^ 0x01);
   test::spit(path_, bytes_);
-  const db::Store store = db::Store::open(path_);  // open stays O(1): no payload hash
+  const db::Store store = db::Store::open(path_);  // open does not hash the payload
   EXPECT_THROW(store.verify_payload(), db::StoreError);
+}
+
+// Every entry in range, but schedule_order[1] repeats schedule_order[0]: a
+// scan would score one record twice and skip another.
+TEST_F(SwdbCorruption, DuplicateScheduleEntryRejected) {
+  db::FileHeader h;
+  std::memcpy(&h, bytes_.data(), sizeof h);
+  ASSERT_GE(h.record_count, 2u);
+  const std::size_t order_off = sizeof h + h.record_count * sizeof(db::RecordMeta);
+  std::memcpy(&bytes_[order_off + sizeof(std::uint32_t)], &bytes_[order_off],
+              sizeof(std::uint32_t));
+  test::spit(path_, bytes_);
+  try {
+    (void)db::Store::open(path_);
+    FAIL() << "a repeated schedule order entry opened";
+  } catch (const db::StoreError& e) {
+    EXPECT_NE(std::string(e.what()).find("schedule order"), std::string::npos) << e.what();
+  }
 }
 
 TEST_F(SwdbCorruption, MissingFileRejected) {
