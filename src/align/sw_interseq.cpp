@@ -18,8 +18,9 @@ InterSeqProfile::InterSeqProfile(std::span<const seq::Code> query, const Scoring
                                  unsigned lanes8, std::size_t alphabet_size)
     : n_(query.size()), lanes8_(lanes8), alphabet_size_(alphabet_size) {
   sc.validate();
-  if (lanes8 != 16 && lanes8 != 32) {
-    throw std::invalid_argument("InterSeqProfile: lane count must be 16 (SSE4.1) or 32 (AVX2)");
+  if (lanes8 != 16 && lanes8 != 32 && lanes8 != 64) {
+    throw std::invalid_argument(
+        "InterSeqProfile: lane count must be 16 (SSE4.1), 32 (AVX2) or 64 (AVX-512BW)");
   }
   const simd::Magnitudes m = simd::scheme_magnitudes(sc);
   fits8_ = m.fit(0xFF);
@@ -35,7 +36,8 @@ InterSeqProfile::InterSeqProfile(std::span<const seq::Code> query, const Scoring
   // score-neutral and overflow-neutral. Codes outside the table are NOT
   // neutral: pshufb reads slot `code & 15` (a 32-slot pair, `code & 31`)
   // for codes below 128 and 0 for codes >= 128, so records must present
-  // codes below alphabet_size (unchecked .swdb bytes: ROADMAP item 3).
+  // codes below alphabet_size. Store-backed records do: db::Store::codes
+  // range-checks raw8 bytes and throws a StoreError on a corrupt one.
   pos_.assign(n_ * table_slots_, 0);
   neg_.assign(n_ * table_slots_, 0xFF);
   for (std::size_t j = 0; j < n_; ++j) {
@@ -134,7 +136,9 @@ InterSeqStats sw_interseq_scan(const InterSeqProfile& profile, InterSeqWorkspace
     ++stats.batches;
     ++stats.occupancy[live_count];
 #if SWR_SIMD_X86
-    if (L == 32) {
+    if (L == 64) {
+      simd::avx512::advance<simd::avx512::U8>(profile, ws, steps, stats);
+    } else if (L == 32) {
       simd::avx2::advance<simd::avx2::U8>(profile, ws, steps, stats);
     } else {
       simd::sse41::advance<simd::sse41::U8>(profile, ws, steps, stats);

@@ -3,11 +3,11 @@
 // independent subjects past one resident query.
 //
 // Where the striped kernels (align/sw_striped.hpp) split ONE record's
-// query columns across lanes, this kernel packs 16 (SSE4.1) or 32 (AVX2)
-// DIFFERENT database records into the 8-bit lanes of one vector and
-// advances all of them one database row at a time: per step, lane l
-// consumes the next residue of its own record and the whole vector sweeps
-// the query columns left to right. The layout is vertical — the DP state
+// query columns across lanes, this kernel packs 16 (SSE4.1), 32 (AVX2) or
+// 64 (AVX-512BW) DIFFERENT database records into the 8-bit lanes of one
+// vector and advances all of them one database row at a time: per step,
+// lane l consumes the next residue of its own record and the whole vector
+// sweeps the query columns left to right. The layout is vertical — the DP state
 // is one H row per lane, stored column-major (`h[j * lanes + l]`) so each
 // query column is a single vector — and lanes are completely independent,
 // which removes the striped kernels' lazy-F correction loop entirely: the
@@ -73,8 +73,8 @@ namespace swr::align {
 /// GCC/Clang — the same gate as sw_striped_compiled()).
 bool sw_interseq_compiled() noexcept;
 
-/// Widest lane count the hardware can drive right now: 32 (AVX2), 16
-/// (SSE4.1) or 0 (no usable ISA / not compiled).
+/// Widest lane count the hardware can drive right now: 64 (AVX-512BW),
+/// 32 (AVX2), 16 (SSE4.1) or 0 (no usable ISA / not compiled).
 unsigned sw_interseq_max_lanes() noexcept;
 
 /// Per-query lookup tables for the inter-sequence kernel: for every query
@@ -84,7 +84,7 @@ unsigned sw_interseq_max_lanes() noexcept;
 /// neg 0xFF — pins the lane's cells to zero without ever carrying).
 class InterSeqProfile {
  public:
-  /// `lanes8` is 16 (SSE4.1) or 32 (AVX2).
+  /// `lanes8` is 16 (SSE4.1), 32 (AVX2) or 64 (AVX-512BW).
   /// @throws std::invalid_argument on invalid scoring or lane count.
   InterSeqProfile(const seq::Sequence& query, const Scoring& sc, unsigned lanes8);
 
@@ -142,8 +142,8 @@ class InterSeqProfile {
 };
 
 /// Maximum lane count across ISAs — per-lane state arrays are fixed at
-/// this size (the upper half idles at 16 lanes).
-inline constexpr unsigned kInterSeqMaxLanes = 32;
+/// this size (the upper lanes idle at 16 and 32 lanes).
+inline constexpr unsigned kInterSeqMaxLanes = 64;
 
 /// Database rows one residue transpose covers.
 inline constexpr std::size_t kInterSeqTileRows = 64;
@@ -157,10 +157,10 @@ struct InterSeqWorkspace {
   std::vector<std::uint8_t> bmax;  ///< current row's block maxima: bmax[b*L + l]
   /// Residue codes of up to kInterSeqTileRows rows, transposed row-major
   /// (tile[t*L + l]) so a row step loads all lanes' codes as one vector.
-  alignas(32) std::array<std::uint8_t, kInterSeqTileRows * kInterSeqMaxLanes> tile{};
-  alignas(32) std::array<std::uint8_t, kInterSeqMaxLanes> thresh{};  ///< tie-break trigger floor
-  alignas(32) std::array<std::uint8_t, kInterSeqMaxLanes> ovf{};     ///< sticky overflow flags
-  alignas(32) std::array<std::uint8_t, kInterSeqMaxLanes> prev{};    ///< previous row's max
+  alignas(64) std::array<std::uint8_t, kInterSeqTileRows * kInterSeqMaxLanes> tile{};
+  alignas(64) std::array<std::uint8_t, kInterSeqMaxLanes> thresh{};  ///< tie-break trigger floor
+  alignas(64) std::array<std::uint8_t, kInterSeqMaxLanes> ovf{};     ///< sticky overflow flags
+  alignas(64) std::array<std::uint8_t, kInterSeqMaxLanes> prev{};    ///< previous row's max
   std::array<const seq::Code*, kInterSeqMaxLanes> cur{};  ///< next residue (null = dead lane)
   std::array<const seq::Code*, kInterSeqMaxLanes> end{};
   std::array<std::uint64_t, kInterSeqMaxLanes> row{};  ///< record rows computed so far

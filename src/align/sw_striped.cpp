@@ -17,8 +17,9 @@ StripedProfile::StripedProfile(std::span<const seq::Code> query, const Scoring& 
                                unsigned lanes8, std::size_t alphabet_size)
     : n_(query.size()), lanes8_(lanes8) {
   sc.validate();
-  if (lanes8 != 16 && lanes8 != 32) {
-    throw std::invalid_argument("StripedProfile: lane count must be 16 (SSE4.1) or 32 (AVX2)");
+  if (lanes8 != 16 && lanes8 != 32 && lanes8 != 64) {
+    throw std::invalid_argument(
+        "StripedProfile: lane count must be 16 (SSE4.1), 32 (AVX2) or 64 (AVX-512BW)");
   }
   const simd::Magnitudes m = simd::scheme_magnitudes(sc);
   fits8_ = m.fit(0xFF);
@@ -74,8 +75,11 @@ std::optional<LocalScoreResult> sw_striped8_try(std::span<const seq::Code> rec,
   if (!profile.fits8()) return std::nullopt;
   if (rec.empty() || profile.query_len() == 0) return LocalScoreResult{};
   if (simd::max_lanes8() < profile.lanes8()) return std::nullopt;
-  return profile.lanes8() == 32 ? simd::avx2::striped<simd::avx2::U8>(rec, profile, ws)
-                                : simd::sse41::striped<simd::sse41::U8>(rec, profile, ws);
+  switch (profile.lanes8()) {
+    case 64: return simd::avx512::striped<simd::avx512::U8>(rec, profile, ws);
+    case 32: return simd::avx2::striped<simd::avx2::U8>(rec, profile, ws);
+    default: return simd::sse41::striped<simd::sse41::U8>(rec, profile, ws);
+  }
 #else
   (void)rec;
   (void)profile;
@@ -91,8 +95,11 @@ std::optional<LocalScoreResult> sw_striped16_try(std::span<const seq::Code> rec,
   if (!profile.fits16()) return std::nullopt;
   if (rec.empty() || profile.query_len() == 0) return LocalScoreResult{};
   if (simd::max_lanes8() < profile.lanes8()) return std::nullopt;
-  return profile.lanes8() == 32 ? simd::avx2::striped<simd::avx2::U16>(rec, profile, ws)
-                                : simd::sse41::striped<simd::sse41::U16>(rec, profile, ws);
+  switch (profile.lanes8()) {
+    case 64: return simd::avx512::striped<simd::avx512::U16>(rec, profile, ws);
+    case 32: return simd::avx2::striped<simd::avx2::U16>(rec, profile, ws);
+    default: return simd::sse41::striped<simd::sse41::U16>(rec, profile, ws);
+  }
 #else
   (void)rec;
   (void)profile;

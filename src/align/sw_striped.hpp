@@ -3,16 +3,16 @@
 //
 // The paper's systolic array wins by updating many anti-diagonal cells per
 // clock; in software the analogue is lane count: 16 8-bit lanes with
-// SSE4.1 (__m128i) and 32 with AVX2 (__m256i). The array gets each
-// neighbour's cell from its wiring for free, but a CPU anti-diagonal
-// layout pays for the same data movement in per-diagonal residue gathers
-// and lane shuffles, which eat the win — so these kernels use Farrar's
-// *striped* layout instead: the query is split into `lanes` equal
-// segments of `stripes = ceil(n / lanes)` positions, vector s holds query
-// positions {s, s+stripes, s+2*stripes, ...}, and one row of the DP
-// matrix is computed per database residue with the horizontal-gap
-// dependency resolved by the classic lazy-F fixup loop (at most `lanes`
-// wraps; in practice it exits after one or two stripes).
+// SSE4.1 (__m128i), 32 with AVX2 (__m256i) and 64 with AVX-512BW
+// (__m512i). The array gets each neighbour's cell from its wiring for
+// free, but a CPU anti-diagonal layout pays for the same data movement in
+// per-diagonal residue gathers and lane shuffles, which eat the win — so
+// these kernels use Farrar's *striped* layout instead: the query is split
+// into `lanes` equal segments of `stripes = ceil(n / lanes)` positions,
+// vector s holds query positions {s, s+stripes, s+2*stripes, ...}, and one
+// row of the DP matrix is computed per database residue with the
+// horizontal-gap dependency resolved by the classic lazy-F fixup loop (at
+// most `lanes` wraps; in practice it exits after one or two stripes).
 //
 // Exactness contract (shared with align/sw_interseq.hpp):
 //   * positive and negative substitution contributions are applied as a
@@ -68,7 +68,8 @@ bool sw_striped_compiled() noexcept;
 /// vector width.
 class StripedProfile {
  public:
-  /// `lanes8` is the 8-bit lane count: 16 (SSE4.1) or 32 (AVX2).
+  /// `lanes8` is the 8-bit lane count: 16 (SSE4.1), 32 (AVX2) or 64
+  /// (AVX-512BW).
   /// @throws std::invalid_argument on invalid scoring or lane count.
   StripedProfile(const seq::Sequence& query, const Scoring& sc, unsigned lanes8);
 
@@ -139,17 +140,17 @@ class StripedProfile {
 struct StripedWorkspace {
   std::vector<std::uint8_t> h8;
   std::vector<std::uint16_t> h16;
-  /// Rows whose row max reached the best so far and so ran the O(n)
-  /// query-order rescan for the canonical tie-break, summed over every
-  /// kernel call on this workspace (scan.striped.rescan_rows).
+  /// Rows whose row max reached the best so far and so ran the rescan
+  /// that folds the row's canonical maximum (O(lanes + stripes)), summed
+  /// over every kernel call on this workspace (scan.striped.rescan_rows).
   std::uint64_t rescan_rows = 0;
 };
 
 /// 8-bit striped kernel over rec (rows) vs the profile's query (columns).
-/// Dispatches SSE4.1 / AVX2 on profile.lanes8(). Returns the exact
-/// sw_linear result, or nullopt when any lane saturated (some true cell
-/// value > 255), the scheme does not fit 8 bits, or the required ISA is
-/// unavailable — the caller should re-run one precision down.
+/// Dispatches SSE4.1 / AVX2 / AVX-512BW on profile.lanes8(). Returns the
+/// exact sw_linear result, or nullopt when any lane saturated (some true
+/// cell value > 255), the scheme does not fit 8 bits, or the required ISA
+/// is unavailable — the caller should re-run one precision down.
 std::optional<LocalScoreResult> sw_striped8_try(std::span<const seq::Code> rec,
                                                 const StripedProfile& profile,
                                                 StripedWorkspace& ws);

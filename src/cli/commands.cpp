@@ -740,7 +740,8 @@ int cmd_swdb(const std::vector<std::string>& argv, std::ostream& out) {
         out << "  \"record_length\": {\"min\": " << st.min_length << ", \"max\": "
             << st.max_length << ", \"median\": " << st.median_length << "},\n";
         out << "  \"interseq_occupancy\": {\"lanes16\": " << st.occupancy16
-            << ", \"lanes32\": " << st.occupancy32 << "},\n";
+            << ", \"lanes32\": " << st.occupancy32 << ", \"lanes64\": " << st.occupancy64
+            << "},\n";
       } else {
         out << "  \"record_length\": null,\n  \"interseq_occupancy\": null,\n";
       }
@@ -778,7 +779,8 @@ int cmd_swdb(const std::vector<std::string>& argv, std::ostream& out) {
       std::ostringstream occ;
       occ.precision(1);
       occ << std::fixed << "  interseq lane occupancy: " << st.occupancy16 * 100.0
-          << "% @16 lanes, " << st.occupancy32 * 100.0 << "% @32 lanes\n";
+          << "% @16 lanes, " << st.occupancy32 * 100.0 << "% @32 lanes, "
+          << st.occupancy64 * 100.0 << "% @64 lanes\n";
       out << occ.str();
     }
     if (store.has_kmer_index()) {
@@ -945,7 +947,7 @@ std::string usage() {
          "                       [--alphabet ...] [--engine auto|accel|cpu|board] [--threads N]\n"
          "                       [--sched auto|dense|event] [--board-device xc2vp70|...]\n"
          "                       [--boards N (with --engine board: fleet size)]\n"
-         "                       [--simd auto|scalar|sse41|avx2]\n"
+         "                       [--simd auto|scalar|sse41|avx2|avx512]\n"
          "                       [--kernel auto|striped|interseq] [--numa off|auto|fake:<spec>]\n"
          "                       [--filter exact|seeded] [--filter-threshold S]\n"
          "                       [--align [--max-hits K]] [--format text|tsv|pretty]\n"

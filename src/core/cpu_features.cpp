@@ -22,6 +22,10 @@ bool hardware_supports(SimdIsa isa) noexcept {
       return __builtin_cpu_supports("sse4.1") != 0;
     case SimdIsa::Avx2:
       return __builtin_cpu_supports("avx2") != 0;
+    case SimdIsa::Avx512:
+      // libgcc reports avx512bw only when XGETBV shows the OS saves the
+      // opmask and zmm state.
+      return __builtin_cpu_supports("avx512bw") != 0;
   }
   return false;
 }
@@ -43,25 +47,25 @@ const char* simd_isa_name(SimdIsa isa) noexcept {
     case SimdIsa::Scalar: return "scalar";
     case SimdIsa::Sse41: return "sse41";
     case SimdIsa::Avx2: return "avx2";
+    case SimdIsa::Avx512: return "avx512";
   }
   return "unknown";
 }
 
-const char* simd_isa_choices() noexcept { return "auto|scalar|sse41|avx2"; }
+const char* simd_isa_choices() noexcept { return "auto|scalar|sse41|avx2|avx512"; }
 
 std::optional<SimdIsa> parse_simd_isa(std::string_view name) {
   if (name.empty() || name == "auto") return std::nullopt;
   if (name == "scalar") return SimdIsa::Scalar;
   if (name == "sse41") return SimdIsa::Sse41;
   if (name == "avx2") return SimdIsa::Avx2;
+  if (name == "avx512") return SimdIsa::Avx512;
   throw std::invalid_argument("unknown simd policy '" + std::string(name) +
                               "' (choices: " + simd_isa_choices() + ")");
 }
 
 bool cpu_supports(SimdIsa isa) noexcept {
-  if (isa == SimdIsa::Sse41 || isa == SimdIsa::Avx2) {
-    if (!kStripedCompiled) return false;
-  }
+  if (isa != SimdIsa::Scalar && !kStripedCompiled) return false;
   // __builtin_cpu_supports resolves against a cached model after libgcc's
   // one-time cpuid; caching again here would buy nothing.
   return hardware_supports(isa);
@@ -69,6 +73,7 @@ bool cpu_supports(SimdIsa isa) noexcept {
 
 SimdIsa detected_simd_isa() noexcept {
   static const SimdIsa widest = [] {
+    if (cpu_supports(SimdIsa::Avx512)) return SimdIsa::Avx512;
     if (cpu_supports(SimdIsa::Avx2)) return SimdIsa::Avx2;
     if (cpu_supports(SimdIsa::Sse41)) return SimdIsa::Sse41;
     return SimdIsa::Scalar;

@@ -1,17 +1,18 @@
 // Runtime CPU-feature detection and SIMD kernel-selection policy.
 //
 // The scan engine's kernel ladder spans lane widths from the portable
-// scalar query-profile kernel up to the 32-lane AVX2 striped kernel
-// (align/sw_striped.hpp). Which rung is usable depends on the machine the
-// binary LANDS on, not the one it was built on, so selection is a runtime
-// decision: CPUID (via __builtin_cpu_supports) answers what the hardware
-// can do, and this module turns that answer plus the operator's wishes
-// (`SWR_SIMD` env, `--simd` CLI) into one effective ISA per scan.
+// scalar query-profile kernel up to the 64-lane AVX-512BW kernels
+// (align/sw_striped.hpp, align/sw_interseq.hpp). Which rung is usable
+// depends on the machine the binary LANDS on, not the one it was built on,
+// so selection is a runtime decision: CPUID (via __builtin_cpu_supports)
+// answers what the hardware can do, and this module turns that answer plus
+// the operator's wishes (`SWR_SIMD` env, `--simd` CLI) into one effective
+// ISA per scan.
 //
 // Policy, in order of precedence:
 //   1. an explicit `--simd` value on the command line;
-//   2. the `SWR_SIMD` environment variable (scalar|sse41|avx2|auto) — the
-//      CI matrix pins each rung of the ladder with it;
+//   2. the `SWR_SIMD` environment variable (scalar|sse41|avx2|avx512|auto)
+//      — the CI matrix pins each rung of the ladder with it;
 //   3. auto: the widest ISA the CPU supports.
 // A request the CPU cannot honour degrades to the widest supported rung
 // below it (scalar at worst) with a one-time warning — it never crashes
@@ -27,19 +28,21 @@
 namespace swr::core {
 
 /// SIMD instruction tiers for the CPU scan kernels, ordered narrow to
-/// wide by 8-bit lane count: 1, 16, 32. The vector tiers run the 8-bit
+/// wide by 8-bit lane count: 1, 16, 32, 64. The vector tiers run the 8-bit
 /// striped (or inter-sequence) kernel first and lazily re-run a record
 /// that saturates it in 16-bit striped lanes, then in the scalar kernel.
 enum class SimdIsa : unsigned {
   Scalar = 0,  ///< query-profile scalar kernel (always available)
   Sse41 = 1,   ///< sixteen 8-bit lanes, striped (__m128i, needs SSE4.1)
   Avx2 = 2,    ///< thirty-two 8-bit lanes, striped (__m256i, needs AVX2)
+  Avx512 = 3,  ///< sixty-four 8-bit lanes (__m512i, needs AVX-512BW and OS zmm state)
 };
 
-/// Canonical lower-case name ("scalar", "sse41", "avx2").
+/// Canonical lower-case name ("scalar", "sse41", "avx2", "avx512").
 const char* simd_isa_name(SimdIsa isa) noexcept;
 
-/// The accepted spelling list, for error messages: "auto|scalar|sse41|avx2".
+/// The accepted spelling list, for error messages:
+/// "auto|scalar|sse41|avx2|avx512".
 const char* simd_isa_choices() noexcept;
 
 /// Parses a policy name. "auto" and the empty string yield nullopt (= let
@@ -48,7 +51,7 @@ const char* simd_isa_choices() noexcept;
 std::optional<SimdIsa> parse_simd_isa(std::string_view name);
 
 /// True when this machine can execute `isa` (CPUID, cached after the
-/// first call). Scalar is always true; Sse41/Avx2 require both x86
+/// first call). Scalar is always true; the vector tiers require both x86
 /// hardware support and a compiler that could build the striped kernels.
 bool cpu_supports(SimdIsa isa) noexcept;
 
@@ -83,8 +86,8 @@ SimdIsa resolve_simd_isa(std::optional<SimdIsa> requested);
 /// Scan kernel *shape* — orthogonal to the SimdIsa lane-width ladder.
 /// The striped shape splits one record's query columns across lanes; the
 /// inter-sequence shape packs a different database record into every lane
-/// (align/sw_interseq.hpp). Only the native-vector tiers (Sse41/Avx2)
-/// have both shapes; the scalar tier is striped-shaped only.
+/// (align/sw_interseq.hpp). Only the native-vector tiers (Sse41, Avx2,
+/// Avx512) have both shapes; the scalar tier is striped-shaped only.
 enum class KernelShape : unsigned {
   Auto,      ///< inter-sequence for store-backed scans when usable, else striped
   Striped,   ///< one record at a time, query columns across lanes

@@ -29,6 +29,28 @@ std::size_t record_bytes(Encoding enc, std::uint32_t length) {
   return enc == Encoding::Packed2 ? seq::packed2_bytes(length) : length;
 }
 
+// True when some byte of [p, p + n) is >= `limit`. Eight bytes at a time
+// for limit <= 128: adding 0x80 - limit to a byte's low seven bits sets
+// its top bit exactly when the byte is >= limit (a byte >= 128 has it
+// already), and no sum carries into the next byte.
+bool any_byte_at_least(const std::uint8_t* p, std::size_t n, std::size_t limit) noexcept {
+  std::size_t i = 0;
+  if (limit <= 0x80) {
+    const std::uint64_t bias = 0x0101010101010101ULL * (0x80 - limit);
+    std::uint64_t hit = 0;
+    for (; i + 8 <= n; i += 8) {
+      std::uint64_t w;
+      std::memcpy(&w, p + i, sizeof w);
+      hit |= w | ((w & 0x7F7F7F7F7F7F7F7FULL) + bias);
+    }
+    if ((hit & 0x8080808080808080ULL) != 0) return true;
+  }
+  for (; i < n; ++i) {
+    if (p[i] >= limit) return true;
+  }
+  return false;
+}
+
 #if SWR_DB_HAVE_MMAP
 std::size_t page_size() {
   static const long ps = ::sysconf(_SC_PAGESIZE);
@@ -254,6 +276,11 @@ std::span<const seq::Code> Store::codes(std::size_t r, std::vector<seq::Code>& s
   const RecordMeta& m = meta_at(r);
   const std::uint8_t* rec = payload_ + m.offset;
   if (encoding() == Encoding::Raw8) {
+    if (any_byte_at_least(rec, m.length, alphabet_->size())) {
+      fail(path_, "record " + std::to_string(r) + " ('" + std::string(name(r)) +
+                      "') holds a residue byte outside the alphabet; the payload is corrupt — "
+                      "rebuild the store with `swr swdb build`");
+    }
     return {reinterpret_cast<const seq::Code*>(rec), m.length};
   }
   scratch.resize(m.length);
@@ -450,6 +477,7 @@ ScheduleStats schedule_stats(const Store& store) {
   st.median_length = store.length(order[order.size() / 2]);
   st.occupancy16 = predicted_occupancy(store, order, 16);
   st.occupancy32 = predicted_occupancy(store, order, 32);
+  st.occupancy64 = predicted_occupancy(store, order, 64);
   return st;
 }
 

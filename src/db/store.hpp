@@ -157,9 +157,13 @@ class Store {
   [[nodiscard]] std::string_view name(std::size_t r) const;
 
   /// Dense codes of record `r`. Raw8: a span into the mapping, scratch
-  /// untouched. Packed2: decoded into `scratch` (resized as needed) and a
-  /// span over it returned. The span is valid until the Store is destroyed
-  /// (Raw8) or `scratch` is next modified (Packed2).
+  /// untouched, after checking every byte is a code of the store's
+  /// alphabet (the kernels index tables by code). Packed2: decoded into
+  /// `scratch` (resized as needed) and a span over it returned; its codes
+  /// are below 4 by construction. The span is valid until the Store is
+  /// destroyed (Raw8) or `scratch` is next modified (Packed2).
+  /// @throws StoreError naming the record on a Raw8 byte outside the
+  /// alphabet; std::out_of_range on a bad index.
   [[nodiscard]] std::span<const seq::Code> codes(std::size_t r,
                                                  std::vector<seq::Code>& scratch) const;
 
@@ -265,10 +269,11 @@ struct ScheduleStats {
   std::size_t max_length = 0;
   /// Predicted inter-sequence lane occupancy (useful lane-steps / total
   /// lane-steps, 0..1) when the scan engine's dynamic lane refill walks
-  /// schedule_order at 16 and at 32 lanes. Modelled as greedy
+  /// schedule_order at 16, 32 and 64 lanes. Modelled as greedy
   /// first-lane-to-retire assignment — exactly what the refill loop does.
   double occupancy16 = 0.0;
   double occupancy32 = 0.0;
+  double occupancy64 = 0.0;
 };
 
 /// Computes ScheduleStats from the store's metadata (lengths + schedule

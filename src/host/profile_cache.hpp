@@ -36,7 +36,7 @@ namespace swr::host {
 
 /// Every profile one scan can need, built together so the cache key is
 /// uniform: `lanes8` == 0 carries only the scalar profile (scalar tier);
-/// 16/32 adds the striped profile and — when the inter-seq kernel is
+/// 16/32/64 adds the striped profile and — when the inter-seq kernel is
 /// compiled wide enough — the inter-seq profile.
 struct ProfileBundle {
   ProfileBundle(const seq::Sequence& query, const align::Scoring& sc, unsigned lanes8);

@@ -34,6 +34,7 @@ namespace {
 // query profile.
 unsigned bundle_lanes(core::SimdIsa isa) {
   switch (isa) {
+    case core::SimdIsa::Avx512: return 64;
     case core::SimdIsa::Avx2: return 32;
     case core::SimdIsa::Sse41: return 16;
     case core::SimdIsa::Scalar: break;
@@ -89,7 +90,7 @@ ShapePlan resolve_kernel_shape(KernelShape requested, const ProfileBundle& bundl
       !warned_interseq_degrade.exchange(true)) {
     std::fprintf(stderr,
                  "SWR: requested kernel 'interseq' is unavailable for this scan "
-                 "(needs an sse41/avx2 policy, a scheme that fits 8-bit lanes and an "
+                 "(needs an sse41/avx2/avx512 policy, a scheme that fits 8-bit lanes and an "
                  "alphabet of at most 31 residues); degrading to 'striped'\n");
   }
   const bool use_interseq =

@@ -35,6 +35,7 @@ std::vector<unsigned> supported_lane_widths() {
   std::vector<unsigned> widths;
   if (core::cpu_supports(core::SimdIsa::Sse41)) widths.push_back(16);
   if (core::cpu_supports(core::SimdIsa::Avx2)) widths.push_back(32);
+  if (core::cpu_supports(core::SimdIsa::Avx512)) widths.push_back(64);
   return widths;
 }
 
@@ -68,7 +69,7 @@ TEST(InterSeqProfile, RejectsUnsupportedLaneCount) {
 
 TEST(InterSeqProfile, ColumnTablesHoldTheScalarScores) {
   const seq::Sequence q = swr::test::random_dna(23, 91);
-  for (const unsigned lanes : {16u, 32u}) {
+  for (const unsigned lanes : {16u, 32u, 64u}) {
     const InterSeqProfile p(q, kSc, lanes);
     ASSERT_TRUE(p.usable());
     EXPECT_EQ(p.table_slots(), 16u);  // DNA: 4 residues + neutral fits one pshufb
@@ -385,6 +386,43 @@ TEST(InterSeqBatch, EveryLaneSaturates) {
       EXPECT_FALSE((*batch)[r].has_value()) << "record " << r;
     }
     EXPECT_EQ(stats.fallbacks, records.size());
+  }
+}
+
+// 64 lanes, one record each (the initial fill puts record l in lane l):
+// 63 copies of a tie-heavy record and, in lane 40, a saturating record
+// that starts with the same residues. Every lane reaches its row max in
+// the same rows, so each triggered row sets bits on both sides of bit 32
+// of the 64-bit trigger mask, and lane 40 later saturates. Every result
+// must equal sw_linear, and the tie-break work must be the sum of the
+// records' own (tiebreak_lanes is invariant under lane packing) in no more
+// rows than the saturating record needs alone.
+TEST(InterSeqBatch, SixtyFourLanesTieBreakInTheSameRowAndOneSaturates) {
+  if (sw_interseq_max_lanes() < 64) GTEST_SKIP() << "no 64-lane interseq ISA on this host";
+  std::string periodic;
+  for (std::size_t k = 0; k < 280; ++k) periodic += "ACGT"[k % 4];
+  const seq::Sequence query = seq::Sequence::dna(periodic);
+  const seq::Sequence tie = seq::Sequence::dna(periodic.substr(0, 80));
+  const seq::Sequence hot = query;  // scores 280: saturates its lane
+  std::vector<seq::Sequence> records(64, tie);
+  records[40] = hot;
+
+  InterSeqStats stats;
+  expect_batch_matches_oracle(records, query, kSc, 64, "64 lanes", &stats);
+  EXPECT_EQ(stats.fallbacks, 1u);
+  InterSeqStats tie_alone;
+  InterSeqStats hot_alone;
+  expect_batch_matches_oracle({tie}, query, kSc, 64, "tie record alone", &tie_alone);
+  expect_batch_matches_oracle({hot}, query, kSc, 64, "hot record alone", &hot_alone);
+  ASSERT_GT(tie_alone.tiebreak_lanes, 0u);
+  EXPECT_EQ(stats.tiebreak_lanes, 63 * tie_alone.tiebreak_lanes + hot_alone.tiebreak_lanes);
+  EXPECT_EQ(stats.tiebreak_rows, hot_alone.tiebreak_rows);
+  for (const unsigned lanes : supported_lane_widths()) {
+    InterSeqStats narrower;
+    expect_batch_matches_oracle(records, query, kSc, lanes,
+                                "same batch, lanes " + std::to_string(lanes), &narrower);
+    EXPECT_EQ(narrower.tiebreak_lanes, stats.tiebreak_lanes) << "lanes " << lanes;
+    EXPECT_EQ(narrower.fallbacks, 1u) << "lanes " << lanes;
   }
 }
 

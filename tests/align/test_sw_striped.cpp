@@ -28,6 +28,7 @@ std::vector<unsigned> supported_lane_widths() {
   std::vector<unsigned> widths;
   if (core::cpu_supports(core::SimdIsa::Sse41)) widths.push_back(16);
   if (core::cpu_supports(core::SimdIsa::Avx2)) widths.push_back(32);
+  if (core::cpu_supports(core::SimdIsa::Avx512)) widths.push_back(64);
   return widths;
 }
 
@@ -42,7 +43,7 @@ TEST(StripedProfile, StripeInterleaveRoundTrip) {
   // carry the scalar substitution score split into its pos/neg halves;
   // inverting slot -> j = lane * stripes + stripe must round-trip.
   const seq::Sequence q = swr::test::random_dna(37, 71);
-  for (const unsigned lanes : {16u, 32u}) {
+  for (const unsigned lanes : {16u, 32u, 64u}) {
     const StripedProfile p(q, kSc, lanes);
     ASSERT_TRUE(p.fits8());
     const std::size_t t8 = p.stripes8();
@@ -75,7 +76,7 @@ TEST(StripedProfile, PaddingSlotsAreScoreNeutral) {
   // recurrence is clamp(h + 0 - max) = 0 every row, so they can never
   // contribute a score or a false saturation.
   const seq::Sequence q = swr::test::random_dna(17, 72);  // 17 % 16 != 0: padding in every lane width
-  for (const unsigned lanes : {16u, 32u}) {
+  for (const unsigned lanes : {16u, 32u, 64u}) {
     const StripedProfile p(q, kSc, lanes);
     const std::size_t t8 = p.stripes8();
     std::vector<bool> real(t8 * lanes, false);
@@ -139,6 +140,47 @@ TEST(Striped, TieBreakCanonical) {
   ASSERT_EQ(ref.end, (Cell{13, 3}));
   for (const unsigned lanes : supported_lane_widths()) {
     EXPECT_EQ(sw_linear_striped(a, b, kSc, lanes), ref) << "lanes=" << lanes;
+  }
+}
+
+// The canonical cell when a row's maximum sits in several lanes and in
+// several stripes of one lane. The record is eight G's; the query carries
+// runs of eight G's in A filler ending at query positions t + 8 and
+// t + 18 (lane 1, stripes 8 and 18) and 3t + 10 (lane 3), plus a run of
+// seven ending in lane 0, where t is the stripe count of the lane width
+// under test and the query length is not a multiple of it. Row 8 scores 8
+// at each full run's end; sw_linear ends at the first, so a rescan that
+// took a later stripe or a later lane holding the maximum ends elsewhere.
+TEST(Striped, RowMaximumInSeveralLanesAndStripesEndsAtTheFirst) {
+  const seq::Sequence rec = seq::Sequence::dna(std::string(8, 'G'));
+  const auto query_for = [](unsigned lanes) {
+    const std::size_t t = 21;
+    std::string text(20 * lanes + 3, 'A');  // ceil(n / lanes) == t
+    const auto run = [&](std::size_t end, std::size_t len) {
+      text.replace(end + 1 - len, len, std::string(len, 'G'));
+    };
+    run(10, 7);
+    run(t + 8, 8);
+    run(t + 18, 8);
+    run(3 * t + 10, 8);
+    return seq::Sequence::dna(text);
+  };
+  for (const unsigned lanes8 : supported_lane_widths()) {
+    // 8-bit lanes run `lanes8` wide, 16-bit lanes half that.
+    for (const unsigned lanes : {lanes8, lanes8 / 2}) {
+      const seq::Sequence q = query_for(lanes);
+      const LocalScoreResult ref = sw_linear(rec, q, kSc);
+      ASSERT_EQ(ref.score, 8);
+      ASSERT_EQ(ref.end, (Cell{8, 21 + 8 + 1}));
+      const bool k8 = lanes == lanes8;
+      const StripedProfile p(q, kSc, k8 ? lanes : 2 * lanes);
+      ASSERT_EQ(k8 ? p.stripes8() : p.stripes16(), 21u);
+      StripedWorkspace ws;
+      const auto got =
+          k8 ? sw_striped8_try(rec.codes(), p, ws) : sw_striped16_try(rec.codes(), p, ws);
+      ASSERT_TRUE(got.has_value()) << lanes << " lanes";
+      EXPECT_EQ(*got, ref) << lanes << (k8 ? " 8-bit" : " 16-bit") << " lanes";
+    }
   }
 }
 

@@ -7,14 +7,16 @@ and they run only after a CPUID check. If a function compiled for a wider
 ISA leaks out, every test still passes on a CPU that has that ISA, but the
 binary raises SIGILL on one that does not. This script disassembles every
 librepro_*.a in a build tree and fails when:
-  * a VEX/EVEX-encoded instruction, or a ymm/zmm register, appears in a
-    function whose demangled name lacks "avx2";
+  * an EVEX-encoded instruction, or a zmm register, appears in a function
+    whose demangled name lacks "avx512";
+  * a VEX-encoded instruction, or a ymm register, appears in a function
+    whose demangled name lacks both "avx2" and "avx512";
   * an SSSE3/SSE4.x instruction (or popcnt) appears in a function whose
-    demangled name lacks both "sse41" and "avx2".
+    demangled name names none of "sse41", "avx2" and "avx512".
 
 Usage: check_isa.py <build-dir>
 
-Exits 0 when both rules hold and 1 otherwise, printing each offending
+Exits 0 when every rule holds and 1 otherwise, printing each offending
 function. Exits 77 (the ctest skip code) when objdump is missing or the
 build does not target x86-64.
 """
@@ -48,16 +50,29 @@ NARROW_WIDE_PREFIXES = ("pmovzx", "pmovsx")
 # (segment overrides and the address-size override).
 SKIPPABLE_PREFIXES = {"26", "2e", "36", "3e", "64", "65", "67"}
 # In 64-bit mode c4/c5 always start a VEX and 62 an EVEX instruction.
-VEX_EVEX = {"c4", "c5", "62"}
-WIDE_REGISTER = re.compile(r"%[yz]mm\d+")
+ESCAPES = {"c4": "VEX", "c5": "VEX", "62": "EVEX"}
+YMM = re.compile(r"%ymm\d+")
+ZMM = re.compile(r"%zmm\d+")
 FUNCTION = re.compile(r"^[0-9a-f]+ <(.*)>:$")
 
+# Each rule: (name, the ISA names a function must mention to hold the
+# instruction, predicate over (raw bytes, instruction, mnemonic)).
+RULES = (
+    ("EVEX or zmm outside an avx512 function", ("avx512",),
+     lambda raw, ins, mn: encoding(raw) == "EVEX" or ZMM.search(ins) is not None),
+    ("VEX or ymm outside an avx2/avx512 function", ("avx2", "avx512"),
+     lambda raw, ins, mn: encoding(raw) == "VEX" or YMM.search(ins) is not None),
+    ("SSSE3/SSE4.x outside an sse41/avx2/avx512 function", ("sse41", "avx2", "avx512"),
+     lambda raw, ins, mn: is_narrow_wide(mn)),
+)
 
-def is_vex_or_evex(raw_bytes):
+
+def encoding(raw_bytes):
+    """"VEX", "EVEX" or None for an instruction's raw bytes."""
     for byte in raw_bytes:
         if byte not in SKIPPABLE_PREFIXES:
-            return byte in VEX_EVEX
-    return False
+            return ESCAPES.get(byte)
+    return None
 
 
 def is_narrow_wide(mnemonic):
@@ -81,18 +96,12 @@ def check_library(objdump, lib):
         raw_bytes = fields[1].split()
         instruction = fields[2].strip()
         mnemonic = instruction.split(" ", 1)[0]
-        if "avx2" not in function:
-            if is_vex_or_evex(raw_bytes) or WIDE_REGISTER.search(instruction):
-                rule = "VEX/EVEX or ymm/zmm outside an avx2 function"
-                if (function, rule) not in reported:
-                    reported.add((function, rule))
-                    yield function, rule, instruction
+        for rule, allowed, matches in RULES:
+            if any(isa in function for isa in allowed):
                 continue
-            if "sse41" not in function and is_narrow_wide(mnemonic):
-                rule = "SSSE3/SSE4.x outside an sse41/avx2 function"
-                if (function, rule) not in reported:
-                    reported.add((function, rule))
-                    yield function, rule, instruction
+            if matches(raw_bytes, instruction, mnemonic) and (function, rule) not in reported:
+                reported.add((function, rule))
+                yield function, rule, instruction
 
 
 def main(argv):

@@ -219,7 +219,8 @@ TEST(CliSwdb, InfoReportsScheduleStats) {
   const RunResult info = run("swdb", {"info", swdb});
   EXPECT_EQ(info.code, 0) << info.err;
   EXPECT_NE(info.out.find("record length 120..120, median 120"), std::string::npos) << info.out;
-  EXPECT_NE(info.out.find("interseq lane occupancy: 43.8% @16 lanes, 21.9% @32 lanes"),
+  EXPECT_NE(info.out.find("interseq lane occupancy: 43.8% @16 lanes, 21.9% @32 lanes, "
+                          "10.9% @64 lanes"),
             std::string::npos)
       << info.out;
 }

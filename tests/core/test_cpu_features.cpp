@@ -44,6 +44,7 @@ TEST(CpuFeatures, ParseAcceptsEveryCanonicalName) {
   EXPECT_EQ(parse_simd_isa("scalar"), SimdIsa::Scalar);
   EXPECT_EQ(parse_simd_isa("sse41"), SimdIsa::Sse41);
   EXPECT_EQ(parse_simd_isa("avx2"), SimdIsa::Avx2);
+  EXPECT_EQ(parse_simd_isa("avx512"), SimdIsa::Avx512);
   EXPECT_EQ(parse_simd_isa("auto"), std::nullopt);
   EXPECT_EQ(parse_simd_isa(""), std::nullopt);
 }
@@ -55,34 +56,41 @@ TEST(CpuFeatures, ParseRejectsUnknownWithListedChoices) {
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("sse42"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("choices: auto|scalar|sse41|avx2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("choices: auto|scalar|sse41|avx2|avx512"), std::string::npos) << msg;
   }
 }
 
 TEST(CpuFeatures, NameRoundTripsThroughParse) {
-  for (const SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Sse41, SimdIsa::Avx2}) {
+  for (const SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Sse41, SimdIsa::Avx2, SimdIsa::Avx512}) {
     EXPECT_EQ(parse_simd_isa(simd_isa_name(isa)), isa);
   }
+  EXPECT_STREQ(simd_isa_name(SimdIsa::Avx512), "avx512");
 }
 
 TEST(CpuFeatures, PortableTiersAlwaysSupported) { EXPECT_TRUE(cpu_supports(SimdIsa::Scalar)); }
 
 TEST(CpuFeatures, SupportIsMonotonicInWidth) {
-  // A CPU with AVX2 always has SSE4.1; detection must agree, and must
-  // never report a striped tier the binary has no code for.
+  // A CPU with AVX-512BW always has AVX2, and one with AVX2 always has
+  // SSE4.1; detection must agree, and must never report a striped tier
+  // the binary has no code for.
+  if (cpu_supports(SimdIsa::Avx512)) {
+    EXPECT_TRUE(cpu_supports(SimdIsa::Avx2));
+  }
   if (cpu_supports(SimdIsa::Avx2)) {
     EXPECT_TRUE(cpu_supports(SimdIsa::Sse41));
   }
   if (!swr::align::sw_striped_compiled()) {
     EXPECT_FALSE(cpu_supports(SimdIsa::Sse41));
     EXPECT_FALSE(cpu_supports(SimdIsa::Avx2));
+    EXPECT_FALSE(cpu_supports(SimdIsa::Avx512));
   }
 }
 
 TEST(CpuFeatures, DetectedIsWidestSupported) {
   const SimdIsa d = detected_simd_isa();
   EXPECT_TRUE(cpu_supports(d));
-  if (cpu_supports(SimdIsa::Avx2)) EXPECT_EQ(d, SimdIsa::Avx2);
+  if (cpu_supports(SimdIsa::Avx512)) EXPECT_EQ(d, SimdIsa::Avx512);
+  else if (cpu_supports(SimdIsa::Avx2)) EXPECT_EQ(d, SimdIsa::Avx2);
   else if (cpu_supports(SimdIsa::Sse41)) EXPECT_EQ(d, SimdIsa::Sse41);
   else EXPECT_EQ(d, SimdIsa::Scalar);
 }
@@ -103,10 +111,16 @@ TEST(CpuFeatures, ClampDegradesUnsupportedRequestWithWarning) {
   EXPECT_NE(warning.find("degrading"), std::string::npos) << warning;
   // Null warning pointer is fine.
   EXPECT_EQ(clamp_simd_isa(SimdIsa::Avx2, SimdIsa::Sse41), SimdIsa::Sse41);
+  // The 64-lane tier degrades to the widest rung below it.
+  EXPECT_EQ(clamp_simd_isa(SimdIsa::Avx512, SimdIsa::Avx2, &warning), SimdIsa::Avx2);
+  EXPECT_NE(warning.find("'avx512'"), std::string::npos) << warning;
+  EXPECT_NE(warning.find("'avx2'"), std::string::npos) << warning;
+  EXPECT_EQ(clamp_simd_isa(SimdIsa::Avx2, SimdIsa::Avx512, &warning), SimdIsa::Avx2);
+  EXPECT_TRUE(warning.empty());
 }
 
 TEST(CpuFeatures, EffectiveNeverExceedsMachine) {
-  for (const SimdIsa req : {SimdIsa::Scalar, SimdIsa::Sse41, SimdIsa::Avx2}) {
+  for (const SimdIsa req : {SimdIsa::Scalar, SimdIsa::Sse41, SimdIsa::Avx2, SimdIsa::Avx512}) {
     const SimdIsa got = effective_simd_isa(req);
     EXPECT_TRUE(cpu_supports(got));
     EXPECT_LE(static_cast<unsigned>(got), static_cast<unsigned>(req));
@@ -122,6 +136,17 @@ TEST(CpuFeatures, EnvOverrideWinsOverDetection) {
   {
     ScopedSimdEnv env("sse41");
     EXPECT_EQ(auto_simd_isa(), cpu_supports(SimdIsa::Sse41) ? SimdIsa::Sse41 : SimdIsa::Scalar);
+  }
+  {
+    ScopedSimdEnv env("avx2");
+    EXPECT_EQ(simd_isa_env_override(), SimdIsa::Avx2);
+    EXPECT_EQ(auto_simd_isa(), effective_simd_isa(SimdIsa::Avx2));
+  }
+  {
+    ScopedSimdEnv env("avx512");
+    EXPECT_EQ(simd_isa_env_override(), SimdIsa::Avx512);
+    EXPECT_EQ(auto_simd_isa(), cpu_supports(SimdIsa::Avx512) ? SimdIsa::Avx512
+                                                             : detected_simd_isa());
   }
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/accelerator.hpp"
+#include "core/cpu_features.hpp"
 #include "core/multiboard.hpp"
 #include "db/builder.hpp"
 #include "db/store.hpp"
@@ -299,6 +300,84 @@ TEST_F(SwdbCorruption, DuplicateScheduleEntryRejected) {
   }
 }
 
+// File offset of residue `pos` of record `r` in a Raw8 store's bytes.
+std::size_t raw8_residue_offset(const std::vector<char>& bytes, std::size_t r, std::size_t pos) {
+  db::FileHeader h;
+  std::memcpy(&h, bytes.data(), sizeof h);
+  db::RecordMeta m;
+  std::memcpy(&m, bytes.data() + sizeof h + r * sizeof m, sizeof m);
+  const std::size_t names_end =
+      sizeof h + h.record_count * (sizeof(db::RecordMeta) + sizeof(std::uint32_t)) +
+      h.names_bytes;
+  return db::align8(names_end) + m.offset + pos;
+}
+
+// A Raw8 residue byte outside the alphabet (0xFF) in record 3. The
+// kernels index their score tables by residue code, so Store::codes
+// refuses the record by name: every kernel shape at every SIMD tier the
+// host has fails with that StoreError instead of reading past a table or
+// returning hits. Open stays O(records) and does not look at the payload.
+TEST_F(SwdbCorruption, Raw8ResidueOutsideAlphabetRejected) {
+  std::vector<seq::Sequence> protein;
+  for (int k = 0; k < 40; ++k) {
+    seq::Sequence s = test::random_protein(20 + 9 * static_cast<std::size_t>(k), 950 + k);
+    s.set_name("prot" + std::to_string(k));
+    protein.push_back(std::move(s));
+  }
+  align::Scoring blosum;
+  blosum.matrix = &align::blosum62();
+  struct Case {
+    std::string store;
+    std::vector<seq::Sequence> records;
+    seq::Sequence query;
+    align::Scoring sc;
+  };
+  const Case cases[] = {
+      {"protein", protein, test::random_protein(60, 951), blosum},
+      {"dna raw8", mixed_dna_records(), test::random_dna(50, 952), align::Scoring::paper_default()},
+  };
+  db::BuildOptions raw8;
+  raw8.encoding = db::BuildOptions::Pick::Raw8;
+  for (const Case& c : cases) {
+    const std::string path = temp_path("raw8_residue.swdb");
+    ASSERT_EQ(db::build_store(c.records, path, raw8).encoding, db::Encoding::Raw8) << c.store;
+    std::vector<char> bytes = test::slurp(path);
+    bytes[raw8_residue_offset(bytes, 3, 2)] = static_cast<char>(0xFF);
+    test::spit(path, bytes);
+    const db::Store store = db::Store::open(path);
+    const std::string name = c.records[3].name();
+
+    std::vector<seq::Code> scratch;
+    EXPECT_NO_THROW((void)store.codes(2, scratch)) << c.store;
+    try {
+      (void)store.codes(3, scratch);
+      ADD_FAILURE() << c.store << ": record 3's bad residue was served";
+    } catch (const db::StoreError& e) {
+      EXPECT_NE(std::string(e.what()).find("record 3 ('" + name + "')"), std::string::npos)
+          << e.what();
+    }
+    for (const core::SimdIsa simd : {core::SimdIsa::Scalar, core::SimdIsa::Sse41,
+                                     core::SimdIsa::Avx2, core::SimdIsa::Avx512}) {
+      if (!core::cpu_supports(simd)) continue;
+      for (const host::KernelShape shape :
+           {host::KernelShape::Striped, host::KernelShape::InterSeq}) {
+        const std::string what = c.store + " store, " + core::simd_isa_name(simd) + ", " +
+                                 core::kernel_shape_name(shape);
+        host::ScanOptions opt;
+        opt.simd = simd;
+        opt.kernel = shape;
+        try {
+          (void)host::scan_database_cpu(c.query, store, c.sc, opt);
+          ADD_FAILURE() << what << ": the scan ran over the bad residue";
+        } catch (const db::StoreError& e) {
+          EXPECT_NE(std::string(e.what()).find("record 3 ('" + name + "')"), std::string::npos)
+              << what << ": " << e.what();
+        }
+      }
+    }
+  }
+}
+
 TEST_F(SwdbCorruption, MissingFileRejected) {
   EXPECT_THROW((void)db::Store::open(temp_path("does_not_exist.swdb")), db::StoreError);
 }
@@ -320,6 +399,7 @@ TEST(SwdbScheduleStats, KnownLengthsProduceExactStats) {
   // useful residues 60 — occupancy 60/(30*L) exactly.
   EXPECT_DOUBLE_EQ(st.occupancy16, 60.0 / (30.0 * 16.0));
   EXPECT_DOUBLE_EQ(st.occupancy32, 60.0 / (30.0 * 32.0));
+  EXPECT_DOUBLE_EQ(st.occupancy64, 60.0 / (30.0 * 64.0));
 }
 
 TEST(SwdbScheduleStats, EmptyStoreAndEmptyRecordsHandled) {
@@ -349,6 +429,7 @@ TEST(SwdbScheduleStats, EqualLengthsFillEveryLane) {
   const db::ScheduleStats st = db::schedule_stats(db::Store::open(path));
   EXPECT_DOUBLE_EQ(st.occupancy16, 1.0);
   EXPECT_DOUBLE_EQ(st.occupancy32, 1.0);
+  EXPECT_DOUBLE_EQ(st.occupancy64, 0.5);  // 32 records fill half of 64 lanes
 }
 
 }  // namespace

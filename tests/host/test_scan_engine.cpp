@@ -293,7 +293,7 @@ TEST(ScanEngineKernelShape, StoreScanParityAndAutoSelectsInterseq) {
   // gate on the resolved tier like the engine does).
   const core::SimdIsa isa = core::auto_simd_isa();
   const bool interseq_expected =
-      (isa == core::SimdIsa::Sse41 || isa == core::SimdIsa::Avx2) &&
+      isa != core::SimdIsa::Scalar &&
       core::kernel_shape_env_override().value_or(KernelShape::Auto) != KernelShape::Striped;
   obs::Registry reg;
   ScanOptions mopt = opt;
@@ -324,7 +324,8 @@ TEST(ScanEngineKernelShape, InterseqFallbackCountExact) {
   records.push_back(std::move(hot));
 
   for (const std::size_t threads : kThreadCounts) {
-    for (const core::SimdIsa simd : {core::SimdIsa::Sse41, core::SimdIsa::Avx2}) {
+    for (const core::SimdIsa simd :
+         {core::SimdIsa::Sse41, core::SimdIsa::Avx2, core::SimdIsa::Avx512}) {
       ScanOptions opt;
       opt.threads = threads;
       opt.simd = simd;
@@ -340,9 +341,10 @@ TEST(ScanEngineKernelShape, InterseqFallbackCountExact) {
 
 // The kernel's work counters through the scan.interseq.* metrics on a
 // store: the tie-break count depends on each record alone, so thread
-// count and lane width (SSE4.1 16, AVX2 32) cannot move it, and the exact
-// overflow test runs only on rows that can carry — none while every score
-// stays far below 255 - max_sub, some once one record scores 300.
+// count and lane width (SSE4.1 16, AVX2 32, AVX-512BW 64) cannot move it,
+// and the exact overflow test runs only on rows that can carry — none
+// while every score stays far below 255 - max_sub, some once one record
+// scores 300.
 TEST(ScanEngineKernelShape, InterseqWorkCountersOnAStore) {
   if (!core::cpu_supports(core::SimdIsa::Sse41)) GTEST_SKIP() << "no interseq ISA on this host";
   seq::RandomSequenceGenerator gen(5151);
@@ -374,7 +376,8 @@ TEST(ScanEngineKernelShape, InterseqWorkCountersOnAStore) {
     const db::Store store = db::Store::open(path);
     std::optional<std::uint64_t> tiebreak_lanes;
     for (const std::size_t threads : {1u, 3u}) {
-      for (const core::SimdIsa simd : {core::SimdIsa::Sse41, core::SimdIsa::Avx2}) {
+      for (const core::SimdIsa simd :
+           {core::SimdIsa::Sse41, core::SimdIsa::Avx2, core::SimdIsa::Avx512}) {
         const std::string what = std::string(hot ? "hot" : "cold") + " store, " +
                                  std::to_string(threads) + " threads, " + simd_label(simd);
         const auto [lanes_folded, checked_rows] = counts(store, threads, simd);

@@ -174,6 +174,53 @@ const std::map<std::string, Counts> kGolden = {
          {"protein/interseq scan.simd.records.striped8", 0},
          {"protein/interseq scan.striped.rescan_rows", 112},
      }},
+    // Cells, fallbacks, record counts, rescans and tiebreak_lanes equal
+    // the avx2 row's; batches, refills, tiebreak_rows and
+    // overflow_checked_rows follow the lane width (64 lanes hold every
+    // record of both stores from the first fill, so nothing refills).
+    {"avx512",
+     {
+         {"dna/align retrieve.cells", 421760},
+         {"dna/interseq scan.cells", 6287700},
+         {"dna/interseq scan.interseq.batches", 57},
+         {"dna/interseq scan.interseq.fallbacks", 1},
+         {"dna/interseq scan.interseq.overflow_checked_rows", 1},
+         {"dna/interseq scan.interseq.records", 60},
+         {"dna/interseq scan.interseq.refills", 0},
+         {"dna/interseq scan.interseq.tiebreak_lanes", 2585},
+         {"dna/interseq scan.interseq.tiebreak_rows", 422},
+         {"dna/interseq scan.simd.fallbacks", 1},
+         {"dna/interseq scan.simd.records.scalar", 0},
+         {"dna/interseq scan.simd.records.striped16", 1},
+         {"dna/interseq scan.simd.records.striped8", 0},
+         {"dna/interseq scan.striped.rescan_rows", 305},
+         {"dna/seeded diagonals", 260},
+         {"dna/seeded postings", 827},
+         {"dna/seeded scan.cells", 1305600},
+         {"dna/seeded scan.filter.candidates", 58},
+         {"dna/seeded scan.filter.recall_guard", 1},
+         {"dna/seeded scan.filter.rejected", 51},
+         {"dna/seeded scan.filter.rescored", 11},
+         {"dna/striped scan.cells", 6287700},
+         {"dna/striped scan.simd.fallbacks", 1},
+         {"dna/striped scan.simd.records.scalar", 0},
+         {"dna/striped scan.simd.records.striped16", 1},
+         {"dna/striped scan.simd.records.striped8", 60},
+         {"dna/striped scan.striped.rescan_rows", 2890},
+         {"protein/interseq scan.cells", 681000},
+         {"protein/interseq scan.interseq.batches", 40},
+         {"protein/interseq scan.interseq.fallbacks", 1},
+         {"protein/interseq scan.interseq.overflow_checked_rows", 2},
+         {"protein/interseq scan.interseq.records", 40},
+         {"protein/interseq scan.interseq.refills", 0},
+         {"protein/interseq scan.interseq.tiebreak_lanes", 894},
+         {"protein/interseq scan.interseq.tiebreak_rows", 231},
+         {"protein/interseq scan.simd.fallbacks", 1},
+         {"protein/interseq scan.simd.records.scalar", 0},
+         {"protein/interseq scan.simd.records.striped16", 1},
+         {"protein/interseq scan.simd.records.striped8", 0},
+         {"protein/interseq scan.striped.rescan_rows", 112},
+     }},
 };
 
 const Counts kGoldenBoard = {
@@ -380,6 +427,7 @@ void expect_golden_row(core::SimdIsa isa) {
 TEST(WorkGolden, ScalarRow) { expect_golden_row(core::SimdIsa::Scalar); }
 TEST(WorkGolden, Sse41Row) { expect_golden_row(core::SimdIsa::Sse41); }
 TEST(WorkGolden, Avx2Row) { expect_golden_row(core::SimdIsa::Avx2); }
+TEST(WorkGolden, Avx512Row) { expect_golden_row(core::SimdIsa::Avx512); }
 
 // The paper's array on the xc2vp70 at 100 PEs: the 300-residue query
 // runs in three partitioned passes over the first 16 DNA records.

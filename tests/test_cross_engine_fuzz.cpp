@@ -179,6 +179,7 @@ std::vector<unsigned> striped_lane_widths() {
   std::vector<unsigned> widths;
   if (core::cpu_supports(core::SimdIsa::Sse41)) widths.push_back(16);
   if (core::cpu_supports(core::SimdIsa::Avx2)) widths.push_back(32);
+  if (core::cpu_supports(core::SimdIsa::Avx512)) widths.push_back(64);
   return widths;
 }
 
